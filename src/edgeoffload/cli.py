@@ -14,7 +14,6 @@ from . import __version__
 from .config import offload_config, read_kv_file, split_scenario, train_config
 from .errors import ConfigError, EdgeOffloadError, FileFormatError, ValidationError
 from .experiments import EXPERIMENT_KINDS, ExperimentSpec, replay_manifest, run_experiment
-from .kernels import BACKEND
 from .model import generate_instances, read_instances, write_instances
 from .mtl import evaluate, load_model, save_model, train, write_training_log
 from .solvers import label_instances, read_labels, solve_batch, write_labels
@@ -157,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="MEC task-offloading solvers, learned MTL solver and "
                     "split-inference cost simulator.",
     )
-    parser.add_argument("--version", action="version",
-                        version=f"edgeoffload {__version__} (kernel backend: {BACKEND})")
+    parser.add_argument("--version", action="version", version=f"edgeoffload {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="draw random offloading instances")

@@ -24,7 +24,6 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, FileFormatError, SizeLimitError, ValidationError
 from .model import (
-    MAX_VEHICLES,
     OffloadInstance,
     OffloadSolution,
     local_cost,
@@ -141,13 +140,7 @@ def _report_for_mask(inst: OffloadInstance, mask: int, nodes: int, proven: bool,
 
 def solve_exhaustive(inst: OffloadInstance) -> SolveReport:
     """Enumerate all 2^N decisions with the closed-form allocation."""
-    t0 = time.perf_counter()
-    n = inst.n_vehicles
-    if n > MAX_VEHICLES:
-        raise SizeLimitError(f"exhaustive enumeration capped at N={MAX_VEHICLES}")
-    local, off_base, sqrt_c, wt_over_f = _instance_arrays(inst)
-    best_mask, _ = kernels.exhaustive_argmin(local, off_base, sqrt_c, [wt_over_f])
-    return _report_for_mask(inst, int(best_mask[0]), nodes=1 << n, proven=True, t0=t0)
+    return batch_solve_exhaustive([inst])[0]
 
 
 def batch_solve_exhaustive(instances: list[OffloadInstance]) -> list[SolveReport]:
@@ -323,6 +316,13 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
     if not proven:
         gap = (inc_cost - lowest_open) / max(abs(inc_cost), 1e-300)
         proven = gap <= cfg.gap_tolerance
+    if proven and cfg.gap_tolerance == 0.0:
+        # a node bound equals the cost of a mask below it only if that mask
+        # has at most one offloader, so pruning or stopping at a bound equal
+        # to the optimum can hide only such ties; check them all so exact
+        # ties go to the smallest mask
+        for mask in (0, *(1 << i for i in range(n))):
+            consider(mask)
     return _report_for_mask(inst, inc_mask, nodes=nodes, proven=proven, t0=t0)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from edgeoffload.errors import ConfigError, SizeLimitError
 from edgeoffload.model import generate_instances, total_cost
 from edgeoffload.solvers import (
+    BRANCHING_RULES,
     LabeledDataset,
     SbbConfig,
     batch_solve_exhaustive,
@@ -176,16 +177,25 @@ def test_labels_io_rejects_truncated_row(tmp_path):
 
 
 def test_sbb_tie_break_matches_exhaustive_lexicographic():
-    # identical vehicles make local and offload costs collide across masks
+    # identical vehicles make every mask with the same number of offloaders
+    # cost the same; the optimum offloads one vehicle at edge_freq=1e9 and
+    # two at 3e9, so 4 and 6 masks tie
     from edgeoffload.model import CostWeights, EdgeParams, OffloadInstance, VehicleParams
+    from edgeoffload.solvers import _instance_arrays, _mask_cost
 
     v = VehicleParams(data_size=1e6, cpu_cycles=1e9, local_freq=1e9,
                       tx_power=10.0, channel_gain=1e-5, bandwidth=1e6)
-    inst = OffloadInstance(
-        vehicles=(v, v),
-        edge=EdgeParams(edge_freq=1e10, noise_power=1e-9),
-        weights=CostWeights(w_time=1.0, w_energy=1.0, kappa=1e-27),
-    )
-    ex = solve_exhaustive(inst)
-    bb = solve_sbb(inst)
-    assert bb.solution.decisions == ex.solution.decisions
+    for edge_freq, offloaders in ((1e9, 1), (3e9, 2)):
+        inst = OffloadInstance(
+            vehicles=(v,) * 4,
+            edge=EdgeParams(edge_freq=edge_freq, noise_power=1e-9),
+            weights=CostWeights(w_time=1.0, w_energy=1.0, kappa=1e-27),
+        )
+        costs = [_mask_cost(m, 4, *_instance_arrays(inst)) for m in range(16)]
+        ties = [m for m, c in enumerate(costs) if c == min(costs)]
+        assert len(ties) == math.comb(4, offloaders)
+        ex = solve_exhaustive(inst)
+        assert decisions_to_mask(ex.solution.decisions) == ties[0]
+        for rule in BRANCHING_RULES:
+            bb = solve_sbb(inst, SbbConfig(branching_rule=rule))
+            assert bb.solution.decisions == ex.solution.decisions
