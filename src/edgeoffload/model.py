@@ -8,9 +8,11 @@ result download are excluded; bandwidth is orthogonal per vehicle.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     FileFormatError,
     InvalidAllocationError,
     InvalidParameterError,
+    ValidationError,
 )
 
 MAX_VEHICLES = 16  # classifier head is 2^N-way; hard enumeration guard
@@ -193,6 +196,35 @@ def raw_features(inst: OffloadInstance) -> np.ndarray:
     return np.asarray(parts, dtype=np.float64)
 
 
+_vehicle_fields = operator.attrgetter(
+    "data_size", "cpu_cycles", "local_freq", "tx_power", "channel_gain", "bandwidth"
+)
+
+
+def batch_features(instances: Sequence[OffloadInstance]) -> np.ndarray:
+    """``raw_features`` of every instance of a non-empty batch with one N, as rows."""
+    if not instances:
+        raise ValidationError("empty instance batch")
+    n = instances[0].n_vehicles
+    if any(inst.n_vehicles != n for inst in instances):
+        raise ValidationError("batch instances must share n_vehicles")
+    vehicles = np.fromiter(
+        itertools.chain.from_iterable(
+            map(_vehicle_fields, itertools.chain.from_iterable(i.vehicles for i in instances))
+        ),
+        dtype=np.float64,
+        count=6 * n * len(instances),
+    ).reshape(len(instances), 6 * n)
+    globals_ = np.array(
+        [
+            (i.edge.edge_freq, i.edge.noise_power, i.weights.w_time, i.weights.w_energy)
+            for i in instances
+        ],
+        dtype=np.float64,
+    )
+    return np.concatenate([vehicles, globals_], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # random instance generation
 # ---------------------------------------------------------------------------
@@ -211,6 +243,14 @@ _RANGE_FIELDS = [
     ("w_time", False),
     ("w_energy", False),
 ]
+
+_VEHICLE_RANGE_FIELDS = [name for name, per_vehicle in _RANGE_FIELDS if per_vehicle]
+# range field of each VehicleParams field, in the dataclass's order
+_VEHICLE_PARAM_SOURCES = [
+    "data_size_bits", "cpu_cycles", "local_freq", "tx_power", "gain", "bandwidth",
+]
+# the order generation draws the globals in (that of the constructor arguments)
+_GLOBAL_DRAW_ORDER = ["edge_freq", "noise_power", "w_time", "w_energy", "kappa"]
 
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "data_size_bits": (0.5e6, 4e6),
@@ -261,40 +301,44 @@ def generate_instances(
     if n_instances < 0:
         raise InvalidParameterError("n_instances must be >= 0")
 
+    # A child stream holds one uniform per vehicle and vehicle field, in
+    # _RANGE_FIELDS order (pinned fields draw too, to keep it aligned), then
+    # one per global that is not pinned, in _GLOBAL_DRAW_ORDER.
+    n = n_vehicles
+    drawn = [name for name in _GLOBAL_DRAW_ORDER if ranges[name][0] != ranges[name][1]]
+    n_vehicle_draws = len(_VEHICLE_RANGE_FIELDS) * n
+    k = n_vehicle_draws + len(drawn)
     children = np.random.SeedSequence(seed).spawn(n_instances)
-    out = []
-    for child in children:
-        inst_seed = int(child.generate_state(1, dtype=np.uint64)[0])
-        rng = np.random.default_rng(child)
+    seeds = [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
+    u = np.empty((n_instances, k))
+    for row, child in zip(u, children):
+        np.random.default_rng(child).random(out=row)
 
-        def draw(name: str, size: int | None = None):
-            lo, hi = ranges[name]
-            if size is None:
-                return lo if lo == hi else float(rng.uniform(lo, hi))
-            if lo == hi:
-                rng.uniform(0.0, 1.0, size=size)  # keep the stream aligned
-                return np.full(size, lo)
-            return rng.uniform(lo, hi, size=size)
+    def scaled(name: str, draws: np.ndarray) -> np.ndarray:
+        lo, hi = (float(x) for x in ranges[name])
+        return np.full(draws.shape, lo) if lo == hi else lo + (hi - lo) * draws
 
-        n = n_vehicles
-        cols = {name: draw(name, n) for name, per_vehicle in _RANGE_FIELDS if per_vehicle}
-        vehicles = tuple(
-            VehicleParams(
-                data_size=float(cols["data_size_bits"][i]),
-                cpu_cycles=float(cols["cpu_cycles"][i]),
-                local_freq=float(cols["local_freq"][i]),
-                tx_power=float(cols["tx_power"][i]),
-                channel_gain=float(cols["gain"][i]),
-                bandwidth=float(cols["bandwidth"][i]),
-            )
-            for i in range(n)
+    # the vehicles' fields in VehicleParams order, as one flat list consumed
+    # six at a time, so no per-vehicle row list is built
+    fields = np.empty((n_instances, n, len(_VEHICLE_PARAM_SOURCES)))
+    for j, name in enumerate(_VEHICLE_RANGE_FIELDS):
+        fields[:, :, _VEHICLE_PARAM_SOURCES.index(name)] = scaled(name, u[:, j * n : (j + 1) * n])
+    values = iter(fields.ravel().tolist())
+    vehicles = (VehicleParams(*six) for six in zip(*[values] * len(_VEHICLE_PARAM_SOURCES)))
+    globals_ = {name: [ranges[name][0]] * n_instances for name in _GLOBAL_DRAW_ORDER}
+    for j, name in enumerate(drawn):
+        globals_[name] = scaled(name, u[:, n_vehicle_draws + j]).tolist()
+    return [
+        OffloadInstance(
+            vehicles=tuple(itertools.islice(vehicles, n)),
+            edge=EdgeParams(edge_freq=edge_freq, noise_power=noise_power),
+            weights=CostWeights(w_time=w_time, w_energy=w_energy, kappa=kappa),
+            seed=inst_seed,
         )
-        edge = EdgeParams(edge_freq=draw("edge_freq"), noise_power=draw("noise_power"))
-        weights = CostWeights(
-            w_time=draw("w_time"), w_energy=draw("w_energy"), kappa=draw("kappa")
+        for edge_freq, noise_power, w_time, w_energy, kappa, inst_seed in zip(
+            *(globals_[name] for name in _GLOBAL_DRAW_ORDER), seeds
         )
-        out.append(OffloadInstance(vehicles=vehicles, edge=edge, weights=weights, seed=inst_seed))
-    return out
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +346,22 @@ def generate_instances(
 # ---------------------------------------------------------------------------
 
 def instance_to_record(inst: OffloadInstance) -> str:
+    e, w = inst.edge, inst.weights
     payload = {
         "seed": inst.seed,
-        "vehicles": [asdict(v) for v in inst.vehicles],
-        "edge": asdict(inst.edge),
-        "weights": asdict(inst.weights),
+        "vehicles": [
+            {
+                "data_size": v.data_size,
+                "cpu_cycles": v.cpu_cycles,
+                "local_freq": v.local_freq,
+                "tx_power": v.tx_power,
+                "channel_gain": v.channel_gain,
+                "bandwidth": v.bandwidth,
+            }
+            for v in inst.vehicles
+        ],
+        "edge": {"edge_freq": e.edge_freq, "noise_power": e.noise_power},
+        "weights": {"w_time": w.w_time, "w_energy": w.w_energy, "kappa": w.kappa},
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

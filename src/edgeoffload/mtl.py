@@ -300,6 +300,38 @@ def split_dataset(
     return order[:n_train], order[n_train:]
 
 
+def _flatten_params(model: MtlModel) -> np.ndarray:
+    """Move every parameter tensor into one flat buffer, in ``model.params()``
+    order; the model keeps views of it."""
+    params = model.params()
+    flat = np.concatenate([p.ravel() for p in params])
+    bounds = np.cumsum([0] + [p.size for p in params]).tolist()
+    views = iter(flat[a:b].reshape(p.shape) for p, a, b in zip(params, bounds, bounds[1:]))
+    pairs = list(zip(views, views))  # (W, b) per layer
+    model.trunk, model.class_head, model.reg_head = pairs[:-2], pairs[-2], pairs[-1]
+    return flat
+
+
+def _adam_step(p, g, m, v, work, lr_t, cfg: TrainConfig) -> None:
+    """One Adam update of the flat buffers in place.
+
+    Elementwise, with the operations and their order of the per-tensor
+    update ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+    p -= lr_t*m / (sqrt(v) + eps)``, so every value matches it bit for bit.
+    """
+    m *= cfg.adam_beta1
+    np.multiply(g, 1.0 - cfg.adam_beta1, out=work)
+    m += work
+    v *= cfg.adam_beta2
+    np.square(g, out=work)
+    work *= 1.0 - cfg.adam_beta2
+    v += work
+    np.sqrt(v, out=work)
+    work += cfg.adam_epsilon
+    np.divide(np.multiply(m, lr_t, out=g), work, out=work)
+    p -= work
+
+
 def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
     """Mini-batch Adam on the weighted cross-entropy + MSE loss.
 
@@ -320,9 +352,11 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
 
     rng = np.random.default_rng(cfg.seed + 1)
     model = _init_model(n, tuple(cfg.hidden_sizes), mean, std, rng)
-    params = model.params()
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    params = _flatten_params(model)
+    grad = np.empty_like(params)
+    m_state = np.zeros_like(params)
+    v_state = np.zeros_like(params)
+    work = np.empty_like(params)
     t = 0
     log: list[dict] = []
     n_train = x.shape[0]
@@ -344,12 +378,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
             lr_t = cfg.learning_rate * (
                 np.sqrt(1.0 - cfg.adam_beta2**t) / (1.0 - cfg.adam_beta1**t)
             )
-            for p, g, m_s, v_s in zip(params, grads, m_state, v_state):
-                m_s *= cfg.adam_beta1
-                m_s += (1.0 - cfg.adam_beta1) * g
-                v_s *= cfg.adam_beta2
-                v_s += (1.0 - cfg.adam_beta2) * g**2
-                p -= lr_t * m_s / (np.sqrt(v_s) + cfg.adam_epsilon)
+            np.concatenate([g.ravel() for g in grads], out=grad)
+            _adam_step(params, grad, m_state, v_state, work, lr_t, cfg)
             tot += value
             ce_sum += ce
             mse_sum += mse

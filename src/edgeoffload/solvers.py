@@ -13,7 +13,6 @@ partial binary fixings with an admissible per-vehicle bound.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,12 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, FileFormatError, SizeLimitError, ValidationError
+from .errors import (
+    ConfigError,
+    FileFormatError,
+    InvalidAllocationError,
+    SizeLimitError,
+    ValidationError,
+)
 from .model import (
     OffloadInstance,
     OffloadSolution,
+    batch_features,
     local_cost,
-    raw_features,
     total_cost,
     uplink_rate,
 )
@@ -109,18 +114,6 @@ def _instance_arrays(inst: OffloadInstance):
     return local, off_base, sqrt_c, wt_over_f
 
 
-def _mask_cost(mask: int, n: int, local, off_base, sqrt_c, wt_over_f) -> float:
-    base = 0.0
-    s = 0.0
-    for i in range(n):
-        if (mask >> (n - 1 - i)) & 1:
-            base += off_base[i]
-            s += sqrt_c[i]
-        else:
-            base += local[i]
-    return base + wt_over_f * s * s
-
-
 def _report_for_mask(inst: OffloadInstance, mask: int, nodes: int, proven: bool, t0: float) -> SolveReport:
     decisions = mask_to_decisions(mask, inst.n_vehicles)
     alloc = optimal_allocation(inst, decisions)
@@ -134,6 +127,73 @@ def _report_for_mask(inst: OffloadInstance, mask: int, nodes: int, proven: bool,
     )
 
 
+def _feature_columns(features: np.ndarray):
+    """Views of ``batch_features`` rows: the six (n_inst, N) vehicle fields in
+    ``VehicleParams`` order, then edge_freq, noise_power, w_time and w_energy
+    as (n_inst, 1) columns."""
+    n = (features.shape[1] - 4) // 6
+    vehicles = features[:, : 6 * n].reshape(len(features), n, 6)
+    return [vehicles[:, :, j] for j in range(6)] + [features[:, 6 * n + j, None] for j in range(4)]
+
+
+def _batch_arrays(instances: list[OffloadInstance], features: np.ndarray):
+    """``_instance_arrays`` of every instance as (n_inst, N) columns, plus the
+    uplink delay, from the instances' ``batch_features`` rows.
+
+    Each value is computed with the same operations in the same order as the
+    scalar cost functions, so every row equals ``_instance_arrays`` exactly;
+    ``**`` and ``math.log2`` run per element because numpy's vectorized
+    power and log2 can differ from them in the last bit.
+    """
+    data, cycles, freq, power, gain, bandwidth, edge_freq, noise, w_time, w_energy = (
+        _feature_columns(features)
+    )
+    kappa = np.array([inst.weights.kappa for inst in instances])[:, None]
+    freq_sq = np.array([f**2 for f in freq.ravel().tolist()]).reshape(freq.shape)
+    local = w_time * (cycles / freq) + w_energy * (kappa * freq_sq * cycles)
+    snr = (power * gain / noise).ravel().tolist()
+    rate = bandwidth * np.array([math.log2(1.0 + x) for x in snr]).reshape(freq.shape)
+    tx_delay = data / rate
+    off_base = w_time * tx_delay + w_energy * power * tx_delay
+    return local, off_base, np.sqrt(cycles), (w_time / edge_freq)[:, 0], tx_delay
+
+
+def _exhaustive_columns(instances: list[OffloadInstance], features: np.ndarray):
+    """Exhaustive optimum of every instance: (mask, alloc, cost) columns.
+
+    Allocation and cost repeat ``optimal_allocation`` and ``total_cost``
+    operation for operation: the allocation denominator is numpy's 1-D sum of
+    the offloaders' roots in vehicle order (pairwise from 8 terms on, so it is
+    taken as a row sum over rows with the same offloader count), and the cost
+    adds the vehicles left to right.
+    """
+    local, off_base, sqrt_c, wt_over_f, tx_delay = _batch_arrays(instances, features)
+    n_inst, n = local.shape
+    mask, _ = kernels.exhaustive_argmin(local, off_base, sqrt_c, wt_over_f)
+    offload = ((mask[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+    counts = offload.sum(axis=1)
+    roots = sqrt_c[offload]  # the offloaders' roots, row by row, in vehicle order
+    starts = np.cumsum(counts) - counts
+    denom = np.ones(n_inst)
+    for k in range(1, n + 1):
+        rows = np.flatnonzero(counts == k)
+        if rows.size:
+            denom[rows] = roots[starts[rows, None] + np.arange(k)].sum(axis=1)
+    alloc = np.where(offload, sqrt_c / denom[:, None], 0.0)
+
+    _, cycles, _, power, _, _, edge_freq, _, w_time, w_energy = _feature_columns(features)
+    edge_delay = cycles / (np.where(offload, alloc, 1.0) * edge_freq)
+    per_vehicle = np.where(
+        offload, w_time * (tx_delay + edge_delay) + w_energy * (power * tx_delay), local
+    )
+    cost = per_vehicle[:, 0].copy()
+    for i in range(1, n):
+        cost += per_vehicle[:, i]
+    if not np.all(np.isfinite(cost)):
+        raise InvalidAllocationError("non-finite optimal cost")
+    return mask, alloc, cost
+
+
 # ---------------------------------------------------------------------------
 # exhaustive enumeration (the labeling oracle)
 # ---------------------------------------------------------------------------
@@ -144,22 +204,24 @@ def solve_exhaustive(inst: OffloadInstance) -> SolveReport:
 
 
 def batch_solve_exhaustive(instances: list[OffloadInstance]) -> list[SolveReport]:
-    """Vectorized exhaustive solve of a homogeneous batch (same N)."""
+    """Vectorized exhaustive solve of a homogeneous batch (same N).
+
+    Each report's ``wall_time`` is the batch's time per instance.
+    """
     if not instances:
         return []
-    n = instances[0].n_vehicles
-    if any(inst.n_vehicles != n for inst in instances):
-        raise ValidationError("batch instances must share n_vehicles")
     t0 = time.perf_counter()
-    arrays = [_instance_arrays(inst) for inst in instances]
-    local = np.array([a[0] for a in arrays])
-    off_base = np.array([a[1] for a in arrays])
-    sqrt_c = np.array([a[2] for a in arrays])
-    wt_over_f = np.array([a[3] for a in arrays])
-    best_mask, _ = kernels.exhaustive_argmin(local, off_base, sqrt_c, wt_over_f)
+    n = instances[0].n_vehicles
+    mask, alloc, cost = _exhaustive_columns(instances, batch_features(instances))
+    wall_time = (time.perf_counter() - t0) / len(instances)
     return [
-        _report_for_mask(inst, int(m), nodes=1 << n, proven=True, t0=t0)
-        for inst, m in zip(instances, best_mask)
+        SolveReport(
+            solution=OffloadSolution(decisions=mask_to_decisions(m, n), alloc=a, cost=c),
+            nodes_explored=1 << n,
+            proven_optimal=True,
+            wall_time=wall_time,
+        )
+        for m, a, c in zip(mask.tolist(), alloc.tolist(), cost.tolist())
     ]
 
 
@@ -261,9 +323,7 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
                 mask |= bit
         return mask
 
-    def mask_cost(mask: int) -> float:
-        return _mask_cost(mask, n, local, off_base, sqrt_c, wt_over_f)
-
+    mask_cost = kernels.mask_cost(local, off_base, sqrt_c, wt_over_f)
     inc_mask = greedy_mask(0, 0)
     inc_cost = mask_cost(inc_mask)
 
@@ -355,14 +415,6 @@ _SOLVERS = {
 }
 
 
-def _label_chunk(args):
-    instances, solver, kw = args
-    if solver == "exhaustive":
-        return batch_solve_exhaustive(instances)
-    fn = _SOLVERS[solver]
-    return [fn(inst, kw) for inst in instances]
-
-
 def solve_batch(
     instances: list[OffloadInstance],
     solver: str = "exhaustive",
@@ -371,7 +423,28 @@ def solve_batch(
     """Solve a batch with one of the named solvers, preserving input order."""
     if solver not in _SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; choose from {sorted(_SOLVERS)}")
-    return _label_chunk((instances, solver, dict(solver_kwargs or {})))
+    if solver == "exhaustive":
+        return batch_solve_exhaustive(instances)
+    kw = dict(solver_kwargs or {})
+    fn = _SOLVERS[solver]
+    return [fn(inst, kw) for inst in instances]
+
+
+def _report_columns(reports: list[SolveReport]):
+    decision = np.array(
+        [decisions_to_mask(r.solution.decisions) for r in reports], dtype=np.int64
+    )
+    alloc = np.array([r.solution.alloc for r in reports])
+    cost = np.array([r.solution.cost for r in reports])
+    return decision, alloc, cost
+
+
+def _label_chunk(args):
+    """(decision, alloc, cost) columns of one chunk of a labeling job."""
+    instances, features, solver, kw = args
+    if solver == "exhaustive":
+        return _exhaustive_columns(instances, features)
+    return _report_columns(solve_batch(instances, solver, kw))
 
 
 def label_instances(
@@ -380,43 +453,52 @@ def label_instances(
     solver_kwargs: dict | None = None,
     workers: int = 1,
 ) -> LabeledDataset:
-    """Solve every instance and assemble (features, label) rows in input order."""
+    """Solve every instance and assemble (features, label) rows in input order.
+
+    The batch must be non-empty and share one N.
+    """
     if solver not in _SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; choose from {sorted(_SOLVERS)}")
+    if not instances:
+        raise ValidationError("no instances to label")
     kw = dict(solver_kwargs or {})
+    features = batch_features(instances)
     if workers > 1 and len(instances) > 1:
         chunks = np.array_split(np.arange(len(instances)), workers)
-        jobs = [([instances[i] for i in idx], solver, kw) for idx in chunks if len(idx)]
+        jobs = [
+            ([instances[i] for i in idx], features[idx], solver, kw) for idx in chunks if len(idx)
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = [r for part in pool.map(_label_chunk, jobs) for r in part]
+            parts = list(pool.map(_label_chunk, jobs))
+        decision, alloc, cost = (np.concatenate(col) for col in zip(*parts))
     else:
-        reports = _label_chunk((instances, solver, kw))
-    return reports_to_dataset(instances, reports)
+        decision, alloc, cost = _label_chunk((instances, features, solver, kw))
+    return LabeledDataset(features=features, decision=decision, alloc=alloc, cost=cost)
 
 
 def reports_to_dataset(
     instances: list[OffloadInstance], reports: list[SolveReport]
 ) -> LabeledDataset:
-    features = np.array([raw_features(inst) for inst in instances])
-    decision = np.array(
-        [decisions_to_mask(r.solution.decisions) for r in reports], dtype=np.int64
+    decision, alloc, cost = _report_columns(reports)
+    return LabeledDataset(
+        features=batch_features(instances), decision=decision, alloc=alloc, cost=cost
     )
-    alloc = np.array([r.solution.alloc for r in reports])
-    cost = np.array([r.solution.cost for r in reports])
-    return LabeledDataset(features=features, decision=decision, alloc=alloc, cost=cost)
 
 
 def write_labels(path, ds: LabeledDataset) -> None:
+    rows = zip(
+        ds.features.tolist(),
+        np.asarray(ds.decision, dtype=np.int64).tolist(),
+        ds.alloc.tolist(),
+        ds.cost.tolist(),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LABELS_FILE_HEADER + "\n")
-        for i in range(ds.n_samples):
-            row = (
-                [repr(float(x)) for x in ds.features[i]]
-                + [str(int(ds.decision[i]))]
-                + [repr(float(x)) for x in ds.alloc[i]]
-                + [repr(float(ds.cost[i]))]
+        for features, decision, alloc, cost in rows:
+            fh.write(
+                ",".join([*map(repr, features), str(decision), *map(repr, alloc), repr(cost)])
+                + "\n"
             )
-            fh.write(",".join(row) + "\n")
 
 
 def read_labels(path) -> LabeledDataset:

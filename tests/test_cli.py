@@ -82,6 +82,14 @@ def test_exit_code_bad_file_format(tmp_path):
     assert _run("label", str(bad), "--out", str(tmp_path / "y.csv")) == EXIT_IO
 
 
+def test_label_of_empty_instance_file_is_a_validation_error(tmp_path):
+    inst = tmp_path / "inst.txt"
+    labels = tmp_path / "labels.csv"
+    assert _run("generate", "--count", "0", "--out", str(inst)) == EXIT_OK
+    assert _run("label", str(inst), "--out", str(labels)) == EXIT_VALIDATION
+    assert not labels.exists()
+
+
 def test_experiment_fig6_and_replay(tmp_path, capsys):
     out = tmp_path / "run"
     assert _run("experiment", "--kind", "fig6-eta", "--out", str(out)) == EXIT_OK

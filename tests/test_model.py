@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from edgeoffload.errors import (
     FileFormatError,
     InvalidAllocationError,
     InvalidParameterError,
+    ValidationError,
 )
 from edgeoffload.model import (
     DEFAULT_RANGES,
@@ -17,7 +20,9 @@ from edgeoffload.model import (
     OffloadInstance,
     OffloadSolution,
     VehicleParams,
+    batch_features,
     generate_instances,
+    instance_to_record,
     local_cost,
     offload_cost,
     raw_features,
@@ -142,6 +147,77 @@ def test_generation_seed_changes_output():
     assert generate_instances(2, 10, seed=0) != generate_instances(2, 10, seed=1)
 
 
+def _generate_per_child(n_vehicles, n_instances, ranges, seed):
+    """Reference: the per-child draw loop that generation used to run."""
+    children = np.random.SeedSequence(seed).spawn(n_instances)
+    out = []
+    for child in children:
+        inst_seed = int(child.generate_state(1, dtype=np.uint64)[0])
+        rng = np.random.default_rng(child)
+
+        def draw(name, size=None):
+            lo, hi = ranges[name]
+            if size is None:
+                return lo if lo == hi else float(rng.uniform(lo, hi))
+            if lo == hi:
+                rng.uniform(0.0, 1.0, size=size)
+                return np.full(size, lo)
+            return rng.uniform(lo, hi, size=size)
+
+        cols = {name: draw(name, n_vehicles) for name in
+                ("data_size_bits", "cpu_cycles", "local_freq", "tx_power", "bandwidth", "gain")}
+        vehicles = tuple(
+            VehicleParams(
+                data_size=float(cols["data_size_bits"][i]),
+                cpu_cycles=float(cols["cpu_cycles"][i]),
+                local_freq=float(cols["local_freq"][i]),
+                tx_power=float(cols["tx_power"][i]),
+                channel_gain=float(cols["gain"][i]),
+                bandwidth=float(cols["bandwidth"][i]),
+            )
+            for i in range(n_vehicles)
+        )
+        edge = EdgeParams(edge_freq=draw("edge_freq"), noise_power=draw("noise_power"))
+        weights = CostWeights(w_time=draw("w_time"), w_energy=draw("w_energy"),
+                              kappa=draw("kappa"))
+        out.append(OffloadInstance(vehicles=vehicles, edge=edge, weights=weights, seed=inst_seed))
+    return out
+
+
+ALL_DRAWN_RANGES = {
+    **DEFAULT_RANGES,
+    "local_freq": (5e8, 2e9),
+    "tx_power": (1.0, 10.0),
+    "bandwidth": (1e6, 2e6),
+    "noise_power": (1e-10, 1e-9),
+    "edge_freq": (5e9, 2e10),
+    "kappa": (1e-28, 1e-27),
+    "w_time": (0.5, 2.0),
+    "w_energy": (0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("ranges", [DEFAULT_RANGES, ALL_DRAWN_RANGES], ids=["default", "all-drawn"])
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_generation_matches_per_child_draws(ranges, n):
+    ref = _generate_per_child(n, 40, ranges, seed=n)
+    new = generate_instances(n, 40, ranges, seed=n)
+    assert new == ref
+    assert [instance_to_record(i) for i in new] == [instance_to_record(i) for i in ref]
+
+
+def test_generation_of_zero_instances():
+    assert generate_instances(3, 0) == []
+
+
+def test_instance_record_is_the_dataclass_fields():
+    for inst in generate_instances(3, 10, ALL_DRAWN_RANGES, seed=4):
+        payload = {"seed": inst.seed, "vehicles": [asdict(v) for v in inst.vehicles],
+                   "edge": asdict(inst.edge), "weights": asdict(inst.weights)}
+        assert instance_to_record(inst) == json.dumps(payload, sort_keys=True,
+                                                      separators=(",", ":"))
+
+
 def test_validate_ranges_rejects_inverted():
     bad = dict(DEFAULT_RANGES)
     bad["cpu_cycles"] = (2e9, 1e9)
@@ -157,6 +233,19 @@ def test_raw_features_layout():
     assert feats[0] == v0.data_size
     assert feats[-2] == inst.weights.w_time
     assert feats[-1] == inst.weights.w_energy
+
+
+def test_batch_features_rows_are_raw_features():
+    instances = generate_instances(4, 20, ALL_DRAWN_RANGES, seed=6)
+    np.testing.assert_array_equal(batch_features(instances),
+                                  np.array([raw_features(i) for i in instances]))
+
+
+def test_batch_features_rejects_empty_and_mixed_batches():
+    with pytest.raises(ValidationError):
+        batch_features([])
+    with pytest.raises(ValidationError):
+        batch_features(generate_instances(2, 1) + generate_instances(3, 1))
 
 
 def test_instance_io_roundtrip(tmp_path):

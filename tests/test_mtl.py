@@ -3,6 +3,7 @@ import pytest
 
 from edgeoffload.errors import FileFormatError
 from edgeoffload.model import OffloadSolution, generate_instances, total_cost
+from edgeoffload import mtl
 from edgeoffload.mtl import (
     MtlModel,
     TrainConfig,
@@ -170,3 +171,60 @@ def test_training_log_format(tmp_path, trained):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,loss,ce_term,mse_term"
     assert len(lines) == len(log) + 1
+
+
+def _train_per_tensor(ds, cfg):
+    """Reference: training with the per-tensor Adam loop it used to run."""
+    train_idx, _ = split_dataset(ds, cfg.train_fraction, cfg.seed)
+    x_raw = ds.features[train_idx]
+    mean = x_raw.mean(axis=0)
+    std = x_raw.std(axis=0)
+    std = np.where(std > 0.0, std, 1.0)
+    x = (x_raw - mean) / std
+    cls, alloc = ds.decision[train_idx], ds.alloc[train_idx]
+    rng = np.random.default_rng(cfg.seed + 1)
+    model = mtl._init_model(ds.n_vehicles, tuple(cfg.hidden_sizes), mean, std, rng)
+    params = model.params()
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    t, log = 0, []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(x.shape[0])
+        tot = ce_sum = mse_sum = 0.0
+        n_batches = 0
+        for start in range(0, x.shape[0], cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            value, ce, mse, grads = mtl.loss_and_grads(
+                model, x[idx], cls[idx], alloc[idx], cfg.chi_c, cfg.chi_r
+            )
+            t += 1
+            lr_t = cfg.learning_rate * (
+                np.sqrt(1.0 - cfg.adam_beta2**t) / (1.0 - cfg.adam_beta1**t)
+            )
+            for p, g, m_s, v_s in zip(params, grads, m_state, v_state):
+                m_s *= cfg.adam_beta1
+                m_s += (1.0 - cfg.adam_beta1) * g
+                v_s *= cfg.adam_beta2
+                v_s += (1.0 - cfg.adam_beta2) * g**2
+                p -= lr_t * m_s / (np.sqrt(v_s) + cfg.adam_epsilon)
+            tot += value
+            ce_sum += ce
+            mse_sum += mse
+            n_batches += 1
+        log.append({"epoch": epoch, "loss": tot / n_batches,
+                    "ce_term": ce_sum / n_batches, "mse_term": mse_sum / n_batches})
+    return model, log
+
+
+@pytest.mark.parametrize("chi_c, n, hidden", [(1.0, 2, (12, 12)), (0.0, 2, (12, 12)),
+                                              (0.0, 5, (16,)), (1.0, 3, (8, 6, 4))])
+def test_fused_adam_matches_per_tensor_loop(chi_c, n, hidden):
+    ds = label_instances(generate_instances(n, 200, seed=110 + n))
+    cfg = TrainConfig(chi_c=chi_c, epochs=6, batch_size=32, hidden_sizes=hidden, seed=3,
+                      train_fraction=0.9)
+    model, log = train(ds, cfg)
+    ref_model, ref_log = _train_per_tensor(ds, cfg)
+    assert log == ref_log
+    assert save_model_bytes(model) == save_model_bytes(ref_model)
+    for p, q in zip(model.params(), ref_model.params()):
+        np.testing.assert_array_equal(p, q)

@@ -5,10 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeoffload.errors import ConfigError, SizeLimitError
-from edgeoffload.model import generate_instances, total_cost
+from edgeoffload import kernels
+from edgeoffload.errors import ConfigError, SizeLimitError, ValidationError
+from edgeoffload.model import (
+    DEFAULT_RANGES,
+    CostWeights,
+    EdgeParams,
+    OffloadInstance,
+    VehicleParams,
+    generate_instances,
+    raw_features,
+    total_cost,
+)
 from edgeoffload.solvers import (
     BRANCHING_RULES,
+    _batch_arrays,
+    _instance_arrays,
     LabeledDataset,
     SbbConfig,
     batch_solve_exhaustive,
@@ -142,7 +154,65 @@ def test_label_instances_matches_exhaustive():
     for i, inst in enumerate(instances):
         rep = solve_exhaustive(inst)
         assert int(ds.decision[i]) == decisions_to_mask(rep.solution.decisions)
-        np.testing.assert_allclose(ds.alloc[i], rep.solution.alloc, rtol=1e-12)
+        np.testing.assert_array_equal(ds.alloc[i], rep.solution.alloc)
+        assert ds.cost[i] == rep.solution.cost
+
+
+# edge capacity decides how many vehicles offload: none at 1e6 cycles/s,
+# most of them at 1e12
+FEW_OFFLOADERS = {**DEFAULT_RANGES, "edge_freq": (1e6, 1e7), "gain": (1e-7, 1e-6)}
+MANY_OFFLOADERS = {**DEFAULT_RANGES, "edge_freq": (1e11, 1e12), "gain": (1e-5, 1e-4)}
+DRAWN_GLOBALS = {**DEFAULT_RANGES, "local_freq": (5e8, 2e9), "tx_power": (1.0, 10.0),
+                 "noise_power": (1e-10, 1e-9), "edge_freq": (5e9, 2e10),
+                 "kappa": (1e-28, 1e-27), "w_time": (0.5, 2.0), "w_energy": (0.1, 1.0)}
+
+
+def _reference_labels(instances):
+    """Per-instance labels from the scalar functions: mask of the kernel on
+    one row, ``optimal_allocation``, ``total_cost`` and ``raw_features``."""
+    masks, allocs, costs = [], [], []
+    for inst in instances:
+        local, off_base, sqrt_c, wt_over_f = _instance_arrays(inst)
+        mask, _ = kernels.exhaustive_argmin(local, off_base, sqrt_c, wt_over_f)
+        decisions = mask_to_decisions(int(mask[0]), inst.n_vehicles)
+        alloc = optimal_allocation(inst, decisions)
+        masks.append(int(mask[0]))
+        allocs.append(alloc)
+        costs.append(total_cost(inst, decisions, alloc))
+    features = np.array([raw_features(inst) for inst in instances])
+    return features, np.array(masks), np.array(allocs), np.array(costs)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_batched_labels_equal_per_instance_reference(n):
+    count = 12 if n > 12 else 30
+    instances = [inst for i, ranges in enumerate((DRAWN_GLOBALS, FEW_OFFLOADERS, MANY_OFFLOADERS))
+                 for inst in generate_instances(n, count, ranges, seed=100 * n + i)]
+    ds = label_instances(instances)
+    features, masks, allocs, costs = _reference_labels(instances)
+    np.testing.assert_array_equal(ds.features, features)
+    np.testing.assert_array_equal(ds.decision, masks)
+    np.testing.assert_array_equal(ds.alloc, allocs)
+    np.testing.assert_array_equal(ds.cost, costs)
+    offloaders = [bin(m).count("1") for m in masks.tolist()]
+    assert 0 in offloaders
+    if n >= 9:
+        assert max(offloaders) >= 8  # where numpy's sum stops being sequential
+    local, off_base, sqrt_c, wt_over_f, _ = _batch_arrays(instances, ds.features)
+    for k, inst in enumerate(instances):
+        row = _instance_arrays(inst)
+        for batched, scalar in zip((local[k], off_base[k], sqrt_c[k], wt_over_f[k]), row):
+            np.testing.assert_array_equal(batched, scalar)
+
+
+def test_label_instances_rejects_empty_batch():
+    with pytest.raises(ValidationError):
+        label_instances([])
+
+
+def test_label_instances_rejects_mixed_sizes():
+    with pytest.raises(ValidationError):
+        label_instances(generate_instances(2, 2) + generate_instances(3, 2))
 
 
 def test_label_instances_parallel_order_preserved():
@@ -176,22 +246,24 @@ def test_labels_io_rejects_truncated_row(tmp_path):
     assert "3" in str(excinfo.value)  # names the offending line
 
 
+def _identical_vehicles(n, edge_freq, cpu_cycles=1e9):
+    v = VehicleParams(data_size=1e6, cpu_cycles=cpu_cycles, local_freq=1e9,
+                      tx_power=10.0, channel_gain=1e-5, bandwidth=1e6)
+    return OffloadInstance(
+        vehicles=(v,) * n,
+        edge=EdgeParams(edge_freq=edge_freq, noise_power=1e-9),
+        weights=CostWeights(w_time=1.0, w_energy=1.0, kappa=1e-27),
+    )
+
+
 def test_sbb_tie_break_matches_exhaustive_lexicographic():
     # identical vehicles make every mask with the same number of offloaders
     # cost the same; the optimum offloads one vehicle at edge_freq=1e9 and
     # two at 3e9, so 4 and 6 masks tie
-    from edgeoffload.model import CostWeights, EdgeParams, OffloadInstance, VehicleParams
-    from edgeoffload.solvers import _instance_arrays, _mask_cost
-
-    v = VehicleParams(data_size=1e6, cpu_cycles=1e9, local_freq=1e9,
-                      tx_power=10.0, channel_gain=1e-5, bandwidth=1e6)
     for edge_freq, offloaders in ((1e9, 1), (3e9, 2)):
-        inst = OffloadInstance(
-            vehicles=(v,) * 4,
-            edge=EdgeParams(edge_freq=edge_freq, noise_power=1e-9),
-            weights=CostWeights(w_time=1.0, w_energy=1.0, kappa=1e-27),
-        )
-        costs = [_mask_cost(m, 4, *_instance_arrays(inst)) for m in range(16)]
+        inst = _identical_vehicles(4, edge_freq)
+        mask_cost = kernels.mask_cost(*_instance_arrays(inst))
+        costs = [mask_cost(m) for m in range(16)]
         ties = [m for m, c in enumerate(costs) if c == min(costs)]
         assert len(ties) == math.comb(4, offloaders)
         ex = solve_exhaustive(inst)
@@ -199,3 +271,17 @@ def test_sbb_tie_break_matches_exhaustive_lexicographic():
         for rule in BRANCHING_RULES:
             bb = solve_sbb(inst, SbbConfig(branching_rule=rule))
             assert bb.solution.decisions == ex.solution.decisions
+
+
+@pytest.mark.parametrize("cpu_cycles", [1e9, 2e9])
+@pytest.mark.parametrize("edge_freq", [1e9, 2e9, 3e9, 5e9, 1e10, 3e10])
+@pytest.mark.parametrize("rule", BRANCHING_RULES)
+def test_exact_sbb_ties_match_exhaustive_for_identical_vehicles(cpu_cycles, edge_freq, rule):
+    # every mask with the same number of offloaders ties; sBB prices masks
+    # with the kernel's own operations, so it must pick the kernel's mask
+    for n in range(2, 11):
+        inst = _identical_vehicles(n, edge_freq, cpu_cycles)
+        ex = solve_exhaustive(inst)
+        bb = solve_sbb(inst, SbbConfig(branching_rule=rule))
+        assert bb.proven_optimal
+        assert bb.solution.decisions == ex.solution.decisions, n
