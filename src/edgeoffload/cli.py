@@ -13,11 +13,17 @@ from pathlib import Path
 from . import __version__
 from .config import offload_config, read_kv_file, split_scenario, train_config
 from .errors import ConfigError, EdgeOffloadError, FileFormatError, ValidationError
-from .experiments import EXPERIMENT_KINDS, ExperimentSpec, replay_manifest, run_experiment
+from .experiments import (
+    EXPERIMENT_KINDS,
+    ExperimentSpec,
+    _eta_sweep_csv,
+    replay_manifest,
+    run_experiment,
+)
 from .model import generate_instances, read_instances, write_instances
 from .mtl import evaluate, load_model, save_model, train, write_training_log
 from .solvers import label_instances, read_labels, solve_batch, write_labels
-from .split import best_split, eta_sweep, local_joint_crossover, strategy_cost
+from .split import best_split, local_joint_crossover, strategy_cost
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -122,12 +128,7 @@ def cmd_split_plan(args) -> int:
     else:
         print(f"local/joint crossover eta* = {eta_star:.6g}")
     if args.out is not None:
-        n_steps = int(round(1.0 / eta_step))
-        records = eta_sweep(scenario, [min(1.0, i * eta_step) for i in range(n_steps + 1)])
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("eta,cost_local,cost_edge,cost_joint\n")
-            for r in records:
-                fh.write(f"{r.eta!r},{r.cost_local!r},{r.cost_edge!r},{r.cost_joint!r}\n")
+        Path(args.out).write_text(_eta_sweep_csv(scenario, eta_step), encoding="utf-8")
         print(f"eta sweep -> {args.out}")
     return EXIT_OK
 
@@ -136,6 +137,9 @@ def cmd_experiment(args) -> int:
     if args.replay is not None:
         old, new, identical = replay_manifest(args.replay, args.out)
         print(f"replayed {old.kind} (seed {old.seed}) -> {args.out}")
+        for name, value in new.measurements.items():
+            recorded = old.measurements.get(name, float("nan"))
+            print(f"measurement {name}: {value:.3e}s (recorded {recorded:.3e}s)")
         print("byte-identical CSVs" if identical else "DIGEST MISMATCH")
         return EXIT_OK if identical else EXIT_VALIDATION
     if args.kind is None:
@@ -146,6 +150,8 @@ def cmd_experiment(args) -> int:
     manifest = run_experiment(spec)
     for name, secs in manifest.stage_seconds.items():
         print(f"stage {name}: {secs:.3f}s")
+    for name, value in manifest.measurements.items():
+        print(f"measurement {name}: {value:.3e}s")
     print(f"artifacts in {args.out}: {', '.join(sorted(manifest.digests))} + manifest.json")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from .errors import ConfigError, EdgeOffloadError
 from .model import generate_instances
 from .mtl import evaluate, solver_metrics, train
 from .solvers import LabeledDataset, SbbConfig, label_instances, solve_sbb
-from .split import eta_sweep
+from .split import InferenceScenario, eta_sweep
 
 EXPERIMENT_KINDS = ("fig5a-training-fraction", "fig5b-n-avs", "fig6-eta")
 
@@ -51,6 +51,7 @@ class RunManifest:
     config_text: str
     stage_seconds: dict[str, float] = field(default_factory=dict)
     digests: dict[str, str] = field(default_factory=dict)
+    measurements: dict[str, float] = field(default_factory=dict)  # wall clock, not digested
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
@@ -59,7 +60,8 @@ class RunManifest:
     def from_json(cls, text: str) -> "RunManifest":
         data = json.loads(text)
         return cls(**{k: data[k] for k in
-                      ("tool_version", "kind", "seed", "config_text", "stage_seconds", "digests")})
+                      ("tool_version", "kind", "seed", "config_text", "stage_seconds", "digests")},
+                   measurements=data.get("measurements", {}))
 
 
 def sha256_file(path: Path) -> str:
@@ -82,15 +84,10 @@ def _split_families(config_text: str) -> dict[str, dict[str, str]]:
     return fams
 
 
-def _merged_split_kv(overrides: dict[str, str]) -> dict[str, str]:
-    kv = parse_kv_text(default_config_text("split"), "<split defaults>")
-    kv.update(overrides)
-    return kv
-
-
-def _merged_train_kv(overrides: dict[str, str]) -> dict[str, str]:
-    kv = parse_kv_text(default_config_text("train"), "<train defaults>")
-    kv.update(overrides)
+def _merged_kv(fams: dict[str, dict[str, str]], family: str) -> dict[str, str]:
+    """The shipped defaults of one config family with the run's overrides on top."""
+    kv = parse_kv_text(default_config_text(family), f"<{family} defaults>")
+    kv.update(fams[family])
     return kv
 
 
@@ -107,6 +104,7 @@ class _Stages:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.seconds: dict[str, float] = {}
+        self.measurements: dict[str, float] = {}
         self.files: list[Path] = []
         self._current: str | None = None
 
@@ -128,6 +126,15 @@ class _Stages:
         path.write_text(content, encoding="utf-8")
         self.files.append(path)
         return path
+
+
+def _eta_sweep_csv(scenario: InferenceScenario, eta_step: float) -> str:
+    """The fig6 CSV: the three strategy costs on the grid 0, eta_step, ..., 1."""
+    n_steps = int(round(1.0 / eta_step))
+    records = eta_sweep(scenario, [min(1.0, i * eta_step) for i in range(n_steps + 1)])
+    return "eta,cost_local,cost_edge,cost_joint\n" + "".join(
+        f"{r.eta!r},{r.cost_local!r},{r.cost_edge!r},{r.cost_joint!r}\n" for r in records
+    )
 
 
 def _gnuplot(csv_name: str, ylabel: str, columns: list[tuple[int, str]]) -> str:
@@ -164,7 +171,7 @@ def _run_fig5a(spec: ExperimentSpec, fams, stages: _Stages) -> None:
 
     rows = []
     for frac in fractions:
-        cfg = train_config(_merged_train_kv(fams["train"]),
+        cfg = train_config(_merged_kv(fams, "train"),
                            train_fraction=frac, seed=spec.seed)
         model, _ = stages.run(f"train@{frac}", lambda: train(ds, cfg))
         metrics = evaluate(model, test_ds)
@@ -200,7 +207,7 @@ def _run_fig5b(spec: ExperimentSpec, fams, stages: _Stages) -> None:
         chi_c = 0.0 if n > 5 else 1.0
         source = "reg" if n > 5 else "class"
         hidden = (64, 64) if n > 5 else (32, 32)
-        cfg = train_config(_merged_train_kv(fams["train"]),
+        cfg = train_config(_merged_kv(fams, "train"),
                            chi_c=chi_c, chi_r=1.0, seed=spec.seed, hidden_sizes=hidden)
         model, _ = stages.run(f"train@N={n}", lambda: train(ds, cfg))
         mtl_metrics = evaluate(model, test_ds, decision_source=source)
@@ -209,12 +216,12 @@ def _run_fig5b(spec: ExperimentSpec, fams, stages: _Stages) -> None:
         )
         sbb_metrics = solver_metrics(sbb_reports, test_ds)
         rows.append((n, mtl_metrics.class_accuracy, sbb_metrics.class_accuracy,
-                     mtl_metrics.reg_mse, sbb_metrics.reg_mse,
-                     mtl_metrics.mean_inference_time, sbb_metrics.mean_inference_time))
+                     mtl_metrics.reg_mse, sbb_metrics.reg_mse))
+        stages.measurements[f"time_mtl@N={n}"] = mtl_metrics.mean_inference_time
+        stages.measurements[f"time_sbb@N={n}"] = sbb_metrics.mean_inference_time
 
-    csv = "n,acc_mtl,acc_sbb,mse_mtl,mse_sbb,time_mtl,time_sbb\n" + "".join(
-        f"{n},{am!r},{asb!r},{mm!r},{msb!r},{tm!r},{tsb!r}\n"
-        for n, am, asb, mm, msb, tm, tsb in rows
+    csv = "n,acc_mtl,acc_sbb,mse_mtl,mse_sbb\n" + "".join(
+        f"{n},{am!r},{asb!r},{mm!r},{msb!r}\n" for n, am, asb, mm, msb in rows
     )
     stages.emit("fig5b.csv", csv)
     stages.emit("fig5b.gp", _gnuplot("fig5b.csv", "accuracy",
@@ -223,15 +230,9 @@ def _run_fig5b(spec: ExperimentSpec, fams, stages: _Stages) -> None:
 
 def _run_fig6(spec: ExperimentSpec, fams, stages: _Stages) -> None:
     scenario, eta_step = stages.run(
-        "config", lambda: split_scenario(_merged_split_kv(fams["split"]))
+        "config", lambda: split_scenario(_merged_kv(fams, "split"))
     )
-    n_steps = int(round(1.0 / eta_step))
-    etas = [min(1.0, i * eta_step) for i in range(n_steps + 1)]
-    records = stages.run("sweep", lambda: eta_sweep(scenario, etas))
-    csv = "eta,cost_local,cost_edge,cost_joint\n" + "".join(
-        f"{r.eta!r},{r.cost_local!r},{r.cost_edge!r},{r.cost_joint!r}\n" for r in records
-    )
-    stages.emit("fig6.csv", csv)
+    stages.emit("fig6.csv", stages.run("sweep", lambda: _eta_sweep_csv(scenario, eta_step)))
     stages.emit("fig6.gp", _gnuplot("fig6.csv", "expected weighted-sum cost",
                                     [(2, "local"), (3, "edge"), (4, "joint")]))
 
@@ -256,6 +257,7 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
         config_text=spec.config_text,
         stage_seconds=stages.seconds,
         digests={p.name: sha256_file(p) for p in stages.files},
+        measurements=stages.measurements,
     )
     (spec.out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return manifest

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,17 +95,8 @@ class EvalMetrics:
 # feature normalization
 # ---------------------------------------------------------------------------
 
-def featurize(inst: OffloadInstance, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Z-score-normalized flat feature vector of length 6N+4."""
-    x = raw_features(inst)
-    if mean.shape != x.shape or std.shape != x.shape:
-        raise ShapeError(
-            f"stats of length {mean.shape} do not match feature count {x.shape}"
-        )
-    return (x - mean) / std
-
-
 def normalize(features: np.ndarray, model: MtlModel) -> np.ndarray:
+    """Z-score-normalized feature rows of length 6N+4; a vector becomes one row."""
     features = np.atleast_2d(features)
     if features.shape[1] != feature_count(model.n_vehicles):
         raise ShapeError(
@@ -131,51 +122,30 @@ def _project_alloc(y: np.ndarray) -> np.ndarray:
     return np.where(s > 1.0, r / np.where(s > 0.0, s, 1.0), r)
 
 
-def _heads(
-    model: MtlModel, x: np.ndarray, with_class: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Batched head outputs without the softmax: (class logits, alloc).
+def forward(
+    model: MtlModel, x: np.ndarray, with_class: bool = True, acts: list | None = None
+):
+    """One feedforward pass over normalized rows ``x`` of shape (n, 6N+4).
 
-    ``with_class=False`` skips the classifier matmul for regression-only
-    inference (the chi_c = 0 regime, where decisions come from the reg head).
+    Returns ``(logits, y, alloc)``: the class logits (``None`` when
+    ``with_class`` is false, for decisions from the regression head), the
+    regression head before projection, and the projected alloc.  A list
+    passed as ``acts`` receives ``x`` and every trunk activation.
     """
     h = x
+    if acts is not None:
+        acts.append(x)
     for w, b in model.trunk:
         h = np.maximum(h @ w + b, 0.0)
+        if acts is not None:
+            acts.append(h)
     wr, br = model.reg_head
-    alloc = _project_alloc(h @ wr + br)
-    if not with_class:
-        return None, alloc
-    wc, bc = model.class_head
-    return h @ wc + bc, alloc
-
-
-def _forward_cached(model: MtlModel, x: np.ndarray):
-    acts = [x]
-    h = x
-    for w, b in model.trunk:
-        h = np.maximum(h @ w + b, 0.0)
-        acts.append(h)
-    wc, bc = model.class_head
-    wr, br = model.reg_head
-    logits = h @ wc + bc
-    probs = _softmax(logits)
     y = h @ wr + br
-    alloc = _project_alloc(y)
-    return probs, alloc, y, acts
-
-
-def forward(model: MtlModel, features: np.ndarray):
-    """Single feedforward pass: class probabilities and projected alloc vector."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if x.shape[1] != feature_count(model.n_vehicles):
-        raise ShapeError(
-            f"expected {feature_count(model.n_vehicles)} features, got {x.shape[1]}"
-        )
-    probs, alloc, _, _ = _forward_cached(model, x)
-    if features.ndim == 1:
-        return probs[0], alloc[0]
-    return probs, alloc
+    logits = None
+    if with_class:
+        wc, bc = model.class_head
+        logits = h @ wc + bc
+    return logits, y, _project_alloc(y)
 
 
 def loss_and_grads(
@@ -194,7 +164,9 @@ def loss_and_grads(
     batch = x.shape[0]
     if batch == 0:
         raise ValidationError("empty batch")
-    probs, alloc, y, acts = _forward_cached(model, x)
+    acts: list[np.ndarray] = []
+    logits, y, alloc = forward(model, x, acts=acts)
+    probs = _softmax(logits)
     h = acts[-1]
 
     rows = np.arange(batch)
@@ -399,6 +371,24 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
 # inference and evaluation
 # ---------------------------------------------------------------------------
 
+def _decide(
+    model: MtlModel, x: np.ndarray, decision_source: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offload masks and projected allocs for normalized rows ``x``.
+
+    ``"class"`` takes the classifier's argmax (softmax is monotone, and the
+    first hit on ties is the lowest mask); ``"reg"`` offloads vehicle i when
+    its regression output exceeds 0.5/N.  Mask bit N-1-i is vehicle i.
+    """
+    if decision_source not in ("class", "reg"):
+        raise ConfigError(f"unknown decision_source {decision_source!r}")
+    logits, _, alloc = forward(model, x, with_class=decision_source == "class")
+    if logits is not None:
+        return logits.argmax(axis=1), alloc
+    n = model.n_vehicles
+    return (alloc > 0.5 / n) @ (1 << np.arange(n - 1, -1, -1)), alloc
+
+
 def infer_solution(
     model: MtlModel, inst: OffloadInstance, decision_source: str = "class"
 ) -> OffloadSolution:
@@ -412,22 +402,11 @@ def infer_solution(
         raise ShapeError(
             f"model is for N={model.n_vehicles}, instance has N={inst.n_vehicles}"
         )
-    feats = featurize(inst, model.feature_mean, model.feature_std)
-    probs, alloc_pred = forward(model, feats)
+    masks, alloc_pred = _decide(model, normalize(raw_features(inst), model), decision_source)
     n = model.n_vehicles
-    if decision_source == "class":
-        mask = int(np.argmax(probs))  # first hit on ties = lowest class index
-    elif decision_source == "reg":
-        mask = 0
-        thresh = 0.5 / n
-        for i in range(n):
-            if alloc_pred[i] > thresh:
-                mask |= 1 << (n - 1 - i)
-    else:
-        raise ConfigError(f"unknown decision_source {decision_source!r}")
-    decisions = mask_to_decisions(mask, n)
+    decisions = mask_to_decisions(int(masks[0]), n)
     chosen = np.array(decisions, dtype=bool)
-    masked = np.where(chosen, alloc_pred, 0.0)
+    masked = np.where(chosen, alloc_pred[0], 0.0)
     total = masked.sum()
     if chosen.any() and (total <= 0.0 or np.any(masked[chosen] <= 0.0)):
         alloc = optimal_allocation(inst, decisions)  # degenerate head output
@@ -445,21 +424,11 @@ def evaluate(
     decision_source: str = "class",
     min_timed_passes: int = 1000,
 ) -> EvalMetrics:
-    """Exact decision-match accuracy, alloc MSE and amortized inference time."""
+    """Exact decision-match accuracy, alloc MSE and amortized decision time."""
     if ds.n_samples == 0:
         raise ValidationError("evaluation dataset is empty")
     x = normalize(ds.features, model)
-    with_class = decision_source == "class"
-    logits, alloc = _heads(model, x, with_class=with_class)
-    if decision_source == "class":
-        pred_mask = logits.argmax(axis=1)  # softmax is monotone, argmax suffices
-    elif decision_source == "reg":
-        n = model.n_vehicles
-        bits = alloc > (0.5 / n)
-        weights_col = 1 << np.arange(n - 1, -1, -1)
-        pred_mask = (bits * weights_col).sum(axis=1)
-    else:
-        raise ConfigError(f"unknown decision_source {decision_source!r}")
+    pred_mask, alloc = _decide(model, x, decision_source)
     accuracy = float((pred_mask == ds.decision).mean())
     mse = float(((alloc - ds.alloc) ** 2).mean())
 
@@ -467,7 +436,7 @@ def evaluate(
     t0 = time.perf_counter()
     passes = 0
     for _ in range(reps):
-        _heads(model, x, with_class=with_class)
+        _decide(model, x, decision_source)
         passes += ds.n_samples
     mean_time = (time.perf_counter() - t0) / passes
     return EvalMetrics(class_accuracy=accuracy, reg_mse=mse, mean_inference_time=mean_time)

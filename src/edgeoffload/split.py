@@ -10,7 +10,7 @@ joint comparison curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, InvalidParameterError, ValidationError
 from .model import CostWeights, EdgeParams, VehicleParams, uplink_rate
@@ -176,15 +176,7 @@ def eta_sweep(sc: InferenceScenario, etas) -> list[EtaSweepRecord]:
         raise ValidationError("etas must be sorted ascending")
     out = []
     for e in etas:
-        at = InferenceScenario(
-            vehicle=sc.vehicle,
-            edge=sc.edge,
-            weights=sc.weights,
-            profile=sc.profile,
-            acc=sc.acc,
-            split_index=sc.split_index,
-            eta=e,
-        )
+        at = replace(sc, eta=e)
         out.append(
             EtaSweepRecord(
                 eta=e,
@@ -200,10 +192,7 @@ def local_joint_crossover(sc: InferenceScenario) -> float | None:
     """Eta where the local and joint cost lines intersect, if inside [0, 1]."""
 
     def diff(eta: float) -> float:
-        at = InferenceScenario(
-            vehicle=sc.vehicle, edge=sc.edge, weights=sc.weights,
-            profile=sc.profile, acc=sc.acc, split_index=sc.split_index, eta=eta,
-        )
+        at = replace(sc, eta=eta)
         return strategy_cost(at, "local") - strategy_cost(at, "joint")
 
     d0, d1 = diff(0.0), diff(1.0)

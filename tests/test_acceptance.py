@@ -222,8 +222,11 @@ def test_criterion_8_manifest_replay(tmp_path):
     """Replaying a RunManifest reproduces byte-identical CSV artifacts."""
     small = ("experiment.samples = 2000\nexperiment.test_samples = 500\n"
              "experiment.fractions = 0.2,1.0\ntrain.epochs = 20\n")
+    small_5b = ("experiment.samples = 300\nexperiment.test_samples = 80\n"
+                "experiment.n_list = 2,6\ntrain.epochs = 5\n")
     results = []
-    for kind, cfg in (("fig6-eta", ""), ("fig5a-training-fraction", small)):
+    for kind, cfg in (("fig6-eta", ""), ("fig5a-training-fraction", small),
+                      ("fig5b-n-avs", small_5b)):
         run_dir = tmp_path / kind
         run_experiment(ExperimentSpec(kind=kind, out_dir=run_dir, seed=8, config_text=cfg))
         _, _, identical = replay_manifest(run_dir / "manifest.json", tmp_path / (kind + "-replay"))
@@ -234,7 +237,8 @@ def test_criterion_8_manifest_replay(tmp_path):
         )
         results.append(identical and same_bytes)
     _verdict(8, all(results),
-             f"fig6 replay identical: {results[0]}; fig5a replay identical: {results[1]}")
+             f"fig6 replay identical: {results[0]}; fig5a replay identical: {results[1]}; "
+             f"fig5b replay identical: {results[2]}")
 
 
 def test_criterion_9_feasibility_fuzz():

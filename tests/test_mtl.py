@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from edgeoffload.errors import FileFormatError
-from edgeoffload.model import OffloadSolution, generate_instances, total_cost
+from edgeoffload.errors import ConfigError, FileFormatError
+from edgeoffload.model import (
+    OffloadSolution,
+    batch_features,
+    generate_instances,
+    raw_features,
+    total_cost,
+)
 from edgeoffload import mtl
 from edgeoffload.mtl import (
     MtlModel,
@@ -13,13 +19,21 @@ from edgeoffload.mtl import (
     infer_solution,
     load_model_bytes,
     loss,
+    normalize,
     save_model_bytes,
     solver_metrics,
     split_dataset,
     train,
     write_training_log,
 )
-from edgeoffload.solvers import label_instances, solve_sbb, SbbConfig
+from edgeoffload.solvers import (
+    SbbConfig,
+    decisions_to_mask,
+    label_instances,
+    mask_to_decisions,
+    optimal_allocation,
+    solve_sbb,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,17 +54,22 @@ def test_feature_count():
 
 def test_forward_shapes(trained, small_ds):
     model, _ = trained
-    probs, alloc = forward(model, small_ds.features[:7])
+    logits, y, alloc = forward(model, normalize(small_ds.features[:7], model))
+    probs = mtl._softmax(logits)
     assert probs.shape == (7, 4)
+    assert y.shape == (7, 2)
     assert alloc.shape == (7, 2)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_forward_alloc_projected_to_simplex(trained, small_ds):
     model, _ = trained
-    _, alloc = forward(model, small_ds.features)
+    x = normalize(small_ds.features, model)
+    logits, _, alloc = forward(model, x, with_class=False)
+    assert logits is None
     assert (alloc >= -1e-12).all()
     assert (alloc.sum(axis=1) <= 1.0 + 1e-9).all()
+    np.testing.assert_array_equal(forward(model, x)[2], alloc)
 
 
 def test_training_reduces_loss(trained):
@@ -106,6 +125,99 @@ def test_infer_solution_reg_source(trained):
     assert sol.cost >= 0.0
 
 
+def _infer_solution_per_call(model, inst, decision_source):
+    """Reference: the per-call inference it used to run, with its own
+    normalization, softmax forward pass and thresholding loop."""
+    feats = (raw_features(inst) - model.feature_mean) / model.feature_std
+    h = feats[None, :]
+    for w, b in model.trunk:
+        h = np.maximum(h @ w + b, 0.0)
+    wc, bc = model.class_head
+    wr, br = model.reg_head
+    probs = mtl._softmax(h @ wc + bc)[0]
+    alloc_pred = mtl._project_alloc(h @ wr + br)[0]
+    n = model.n_vehicles
+    if decision_source == "class":
+        mask = int(np.argmax(probs))
+    else:
+        mask = 0
+        for i in range(n):
+            if alloc_pred[i] > 0.5 / n:
+                mask |= 1 << (n - 1 - i)
+    decisions = mask_to_decisions(mask, n)
+    chosen = np.array(decisions, dtype=bool)
+    masked = np.where(chosen, alloc_pred, 0.0)
+    total = masked.sum()
+    if chosen.any() and (total <= 0.0 or np.any(masked[chosen] <= 0.0)):
+        alloc = optimal_allocation(inst, decisions)
+    elif chosen.any():
+        alloc = masked / total
+    else:
+        alloc = np.zeros(n)
+    return decisions, tuple(alloc), total_cost(inst, decisions, alloc)
+
+
+@pytest.fixture(scope="module")
+def models_by_n():
+    return {n: train(label_instances(generate_instances(n, 400, seed=120 + n)),
+                     TrainConfig(epochs=4, hidden_sizes=(16, 16), seed=0))[0]
+            for n in (2, 3, 5, 8)}
+
+
+@pytest.mark.parametrize("source", ["class", "reg"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_infer_solution_matches_per_call_reference(models_by_n, n, source):
+    model = models_by_n[n]
+    for inst in generate_instances(n, 400, seed=130 + n):
+        sol = infer_solution(model, inst, decision_source=source)
+        decisions, alloc, cost = _infer_solution_per_call(model, inst, source)
+        assert sol.decisions == decisions
+        assert sol.alloc == alloc
+        assert sol.cost == cost
+
+
+@pytest.mark.parametrize("source", ["class", "reg"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_infer_solution_mask_is_row_of_batched_rule(models_by_n, n, source):
+    model = models_by_n[n]
+    instances = generate_instances(n, 300, seed=140 + n)
+    masks, alloc = mtl._decide(model, normalize(batch_features(instances), model), source)
+    assert masks.shape == (300,) and alloc.shape == (300, n)
+    for inst, mask in zip(instances, masks.tolist()):
+        sol = infer_solution(model, inst, decision_source=source)
+        assert decisions_to_mask(sol.decisions) == mask
+
+
+def test_passes_and_fallbacks_go_through_module_globals(models_by_n, small_ds, monkeypatch):
+    """The traced benchmark counts these calls by patching the module attributes."""
+    calls = {"forward": 0, "optimal_allocation": 0, "loss_and_grads": 0}
+    for name in calls:
+        original = getattr(mtl, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mtl, name, counted)
+    instances = generate_instances(3, 50, seed=133)
+    for inst in instances:
+        infer_solution(models_by_n[3], inst, decision_source="class")
+    assert calls["forward"] == 50
+    assert 0 < calls["optimal_allocation"] <= 50  # this model's class head falls back
+    train(small_ds, TrainConfig(epochs=2, batch_size=100, seed=0))
+    assert calls["loss_and_grads"] == 6
+    assert calls["forward"] == 56
+
+
+def test_unknown_decision_source_rejected(trained, small_ds):
+    model, _ = trained
+    inst = generate_instances(2, 1, seed=103)[0]
+    with pytest.raises(ConfigError):
+        infer_solution(model, inst, decision_source="both")
+    with pytest.raises(ConfigError):
+        evaluate(model, small_ds, decision_source="both")
+
+
 def test_evaluate_against_oracle(trained, small_ds):
     model, _ = trained
     metrics = evaluate(model, small_ds, min_timed_passes=1)
@@ -136,8 +248,9 @@ def test_model_serialization_roundtrip(trained):
     back = load_model_bytes(blob)
     assert save_model_bytes(back) == blob
     x = np.random.default_rng(0).normal(size=(4, feature_count(2)))
-    p1, a1 = forward(model, x)
-    p2, a2 = forward(back, x)
+    l1, _, a1 = forward(model, x)
+    l2, _, a2 = forward(back, x)
+    p1, p2 = mtl._softmax(l1), mtl._softmax(l2)
     # float32 storage quantizes the weights once; reload is then exact
     np.testing.assert_allclose(p1, p2, atol=1e-5)
     np.testing.assert_allclose(a1, a2, atol=1e-5)
@@ -155,8 +268,6 @@ def test_default_model_under_2kb(trained):
 
 def test_loss_decomposition(trained, small_ds):
     model, _ = trained
-    from edgeoffload.mtl import featurize, normalize
-
     x = normalize(small_ds.features[:64], model)
     ce_only = loss(model, x, small_ds.decision[:64], small_ds.alloc[:64], 1.0, 0.0)
     mse_only = loss(model, x, small_ds.decision[:64], small_ds.alloc[:64], 0.0, 1.0)
