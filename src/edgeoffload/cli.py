@@ -133,13 +133,18 @@ def cmd_split_plan(args) -> int:
     return EXIT_OK
 
 
+def _measurement(value) -> str:
+    """A float measurement is a wall time; the environment entries print as is."""
+    return f"{value:.3e}s" if isinstance(value, float) else str(value)
+
+
 def cmd_experiment(args) -> int:
     if args.replay is not None:
         old, new, identical = replay_manifest(args.replay, args.out)
         print(f"replayed {old.kind} (seed {old.seed}) -> {args.out}")
         for name, value in new.measurements.items():
-            recorded = old.measurements.get(name, float("nan"))
-            print(f"measurement {name}: {value:.3e}s (recorded {recorded:.3e}s)")
+            recorded = old.measurements.get(name, "n/a")
+            print(f"measurement {name}: {_measurement(value)} (recorded {_measurement(recorded)})")
         print("byte-identical CSVs" if identical else "DIGEST MISMATCH")
         return EXIT_OK if identical else EXIT_VALIDATION
     if args.kind is None:
@@ -151,7 +156,7 @@ def cmd_experiment(args) -> int:
     for name, secs in manifest.stage_seconds.items():
         print(f"stage {name}: {secs:.3f}s")
     for name, value in manifest.measurements.items():
-        print(f"measurement {name}: {value:.3e}s")
+        print(f"measurement {name}: {_measurement(value)}")
     print(f"artifacts in {args.out}: {', '.join(sorted(manifest.digests))} + manifest.json")
     return EXIT_OK
 

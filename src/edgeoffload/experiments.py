@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +18,7 @@ from .config import offload_config, parse_kv_text, split_scenario, train_config,
 from .errors import ConfigError, EdgeOffloadError
 from .model import generate_instances
 from .mtl import evaluate, solver_metrics, train
-from .solvers import LabeledDataset, SbbConfig, label_instances, solve_sbb
+from .solvers import SbbConfig, label_instances, solve_sbb
 from .split import InferenceScenario, eta_sweep
 
 EXPERIMENT_KINDS = ("fig5a-training-fraction", "fig5b-n-avs", "fig6-eta")
@@ -51,7 +53,8 @@ class RunManifest:
     config_text: str
     stage_seconds: dict[str, float] = field(default_factory=dict)
     digests: dict[str, str] = field(default_factory=dict)
-    measurements: dict[str, float] = field(default_factory=dict)  # wall clock, not digested
+    # wall clock and environment, not digested
+    measurements: dict[str, float | int | str] = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
@@ -106,7 +109,6 @@ class _Stages:
         self.seconds: dict[str, float] = {}
         self.measurements: dict[str, float] = {}
         self.files: list[Path] = []
-        self._current: str | None = None
 
     def run(self, name: str, fn):
         t0 = time.perf_counter()
@@ -257,10 +259,21 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
         config_text=spec.config_text,
         stage_seconds=stages.seconds,
         digests={p.name: sha256_file(p) for p in stages.files},
-        measurements=stages.measurements,
+        measurements={**stages.measurements, **_environment()},
     )
     (spec.out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return manifest
+
+
+def _environment() -> dict[str, int | str]:
+    """What a run's numbers depend on beyond its config: the interpreter, the
+    numpy release (its SeedSequence/PCG64 streams drive generation), the host."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count() or 0,
+    }
 
 
 def replay_manifest(manifest_path, out_dir) -> tuple[RunManifest, RunManifest, bool]:

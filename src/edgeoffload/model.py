@@ -283,6 +283,93 @@ def validate_ranges(ranges: dict[str, tuple[float, float]]) -> None:
         raise ConfigError("w_time and w_energy ranges cannot both be pinned to zero")
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier as 64-bit halves, the low half also as
+# 32-bit limbs for the emulated 64x64 -> 128-bit product
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+
+
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's hash-constant stream: (xor constant, multiplier) pairs."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _hash(value, consts):
+    """SeedSequence's ``hashmix`` of a uint32 word (int or uint64 column)."""
+    xor_const, mult = next(consts)
+    value = (value ^ xor_const) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of a pool word with a hashed word."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's step ``state * mult + inc`` mod 2**128 on uint64 half-columns."""
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    p01, p10 = lo0 * _PCG_MULT_LO1, lo1 * _PCG_MULT_LO0
+    carry = ((lo0 * _PCG_MULT_LO0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = (hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + lo1 * _PCG_MULT_LO1
+          + (p01 >> 32) + (p10 >> 32) + (carry >> 32) + inc_hi)
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _child_streams(seed: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seed words and first ``k`` uniforms of children ``0..n-1`` of ``SeedSequence(seed)``.
+
+    Row ``i`` equals ``SeedSequence(seed).spawn(n)[i]``'s
+    ``generate_state(1, np.uint64)[0]`` and ``default_rng(child).random(k)``
+    bit for bit. The children share all entropy but their spawn index, so
+    the shared words are mixed once as ints and everything after runs on
+    ``(n,)`` uint64 columns.
+    """
+    entropy = [seed & _MASK32]  # little-endian 32-bit words, as numpy coerces an int
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    entropy += [0] * (_POOL_SIZE - len(entropy))  # numpy pads run entropy when spawning
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hash(word, consts) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    for word in [*entropy[_POOL_SIZE:], np.arange(n, dtype=np.uint64)]:  # spawn key last
+        pool = [_mix(p, _hash(word, consts)) for p in pool]
+
+    # generate_state(4, np.uint64): eight uint32 words, paired little-endian
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    half = [_hash(pool[j % _POOL_SIZE], consts) for j in range(8)]
+    words = [half[j] | (half[j + 1] << 32) for j in (0, 2, 4, 6)]
+
+    # PCG64 seeding (pcg_setseq_128_srandom_r): inc = 2*words[2:4] + 1;
+    # state = inc + words[0:2], stepped once
+    inc_hi = (words[2] << 1) | (words[3] >> 63)
+    inc_lo = (words[3] << 1) | 1
+    lo = inc_lo + words[1]
+    hi, lo = _lcg_step(inc_hi + words[0] + (lo < inc_lo), lo, inc_hi, inc_lo)
+    u = np.empty((k, n))
+    for row in u:
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        out = hi ^ lo  # XSL-RR output, then random()'s 53-bit double
+        rot = hi >> 58
+        out = (out >> rot) | (out << ((64 - rot) & 63))
+        np.multiply(out >> 11, 2.0**-53, out=row)
+    return words[0], u.T
+
+
 def generate_instances(
     n_vehicles: int,
     n_instances: int,
@@ -291,15 +378,19 @@ def generate_instances(
 ) -> list[OffloadInstance]:
     """Draw i.i.d. uniform instances, deterministically in ``seed``.
 
-    Each instance gets its own child seed from a spawned stream, so chunked
-    parallel generation reproduces the sequential output.
+    Instance ``i`` draws from child ``i`` of ``numpy.random.SeedSequence(seed)``
+    through PCG64 (``default_rng(child).random``); its ``seed`` field is the
+    child's first ``generate_state(1, np.uint64)`` word. The streams of all
+    children are computed column-wise, bit-exact to numpy's.
     """
     ranges = dict(DEFAULT_RANGES if ranges is None else ranges)
     validate_ranges(ranges)
     if not 1 <= n_vehicles <= MAX_VEHICLES:
         raise InvalidParameterError(f"n_vehicles must be 1..{MAX_VEHICLES}")
-    if n_instances < 0:
-        raise InvalidParameterError("n_instances must be >= 0")
+    if not 0 <= n_instances < 2**32:
+        raise InvalidParameterError(f"n_instances must be in [0, 2**32), got {n_instances!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
     # A child stream holds one uniform per vehicle and vehicle field, in
     # _RANGE_FIELDS order (pinned fields draw too, to keep it aligned), then
@@ -308,11 +399,7 @@ def generate_instances(
     drawn = [name for name in _GLOBAL_DRAW_ORDER if ranges[name][0] != ranges[name][1]]
     n_vehicle_draws = len(_VEHICLE_RANGE_FIELDS) * n
     k = n_vehicle_draws + len(drawn)
-    children = np.random.SeedSequence(seed).spawn(n_instances)
-    seeds = [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
-    u = np.empty((n_instances, k))
-    for row, child in zip(u, children):
-        np.random.default_rng(child).random(out=row)
+    seeds, u = _child_streams(int(seed), n_instances, k)
 
     def scaled(name: str, draws: np.ndarray) -> np.ndarray:
         lo, hi = (float(x) for x in ranges[name])
@@ -336,7 +423,7 @@ def generate_instances(
             seed=inst_seed,
         )
         for edge_freq, noise_power, w_time, w_energy, kappa, inst_seed in zip(
-            *(globals_[name] for name in _GLOBAL_DRAW_ORDER), seeds
+            *(globals_[name] for name in _GLOBAL_DRAW_ORDER), seeds.tolist()
         )
     ]
 

@@ -82,6 +82,8 @@ class TrainConfig:
             raise ConfigError("train_fraction must be in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,16 @@ def test_label_of_empty_instance_file_is_a_validation_error(tmp_path):
     assert not labels.exists()
 
 
+def test_negative_seed_exit_codes(tmp_path):
+    inst, labels, model = tmp_path / "inst.txt", tmp_path / "labels.csv", tmp_path / "m.bin"
+    assert _run("generate", "--count", "3", "--seed", "-1", "--out", str(inst)) == EXIT_VALIDATION
+    assert not inst.exists()
+    assert _run("generate", "--count", "3", "--out", str(inst)) == EXIT_OK
+    assert _run("label", str(inst), "--out", str(labels)) == EXIT_OK
+    assert _run("train", str(labels), "--seed", "-1", "--out", str(model)) == EXIT_CONFIG
+    assert not model.exists()
+
+
 def test_experiment_fig6_and_replay(tmp_path, capsys):
     out = tmp_path / "run"
     assert _run("experiment", "--kind", "fig6-eta", "--out", str(out)) == EXIT_OK

@@ -66,6 +66,14 @@ def test_train_config_hidden_sizes():
         train_config({"hidden_sizes": "8,big"})
 
 
+def test_train_config_rejects_negative_seed():
+    assert train_config({"seed": "0"}).seed == 0
+    with pytest.raises(ConfigError, match="seed"):
+        train_config({"seed": "-1"})
+    with pytest.raises(ConfigError, match="seed"):
+        train_config({}, seed=-1)
+
+
 def test_train_config_overrides_win():
     cfg = train_config({"epochs": "100"}, epochs=7)
     assert cfg.epochs == 7

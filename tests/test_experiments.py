@@ -1,5 +1,8 @@
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from edgeoffload.errors import ConfigError
@@ -44,6 +47,12 @@ def test_manifest_digests_match_files(tmp_path):
     for name, digest in manifest.digests.items():
         assert sha256_file(tmp_path / name) == digest
     assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 0
+    # the environment rides in the undigested measurements
+    assert manifest.measurements["numpy"] == np.__version__
+    assert manifest.measurements["python"] == platform.python_version()
+    assert manifest.measurements["cpu_count"] == os.cpu_count()
+    assert manifest.measurements["platform"]
+    assert set(manifest.digests) == {"fig6.csv", "fig6.gp"}
 
 
 def test_stage_failure_removes_partial_outputs(tmp_path):

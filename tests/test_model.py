@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -20,6 +21,7 @@ from edgeoffload.model import (
     OffloadInstance,
     OffloadSolution,
     VehicleParams,
+    _child_streams,
     batch_features,
     generate_instances,
     instance_to_record,
@@ -197,13 +199,59 @@ ALL_DRAWN_RANGES = {
 }
 
 
+# seeds of one, two, three and five 32-bit words; entropy longer than the
+# four-word pool goes through SeedSequence's last mixing loop
+WIDE_SEEDS = [0, 2**32 - 1, 2**32 + 5, 2**64 + 12345, 2**130 + 7]
+
+
 @pytest.mark.parametrize("ranges", [DEFAULT_RANGES, ALL_DRAWN_RANGES], ids=["default", "all-drawn"])
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
 def test_generation_matches_per_child_draws(ranges, n):
-    ref = _generate_per_child(n, 40, ranges, seed=n)
-    new = generate_instances(n, 40, ranges, seed=n)
-    assert new == ref
-    assert [instance_to_record(i) for i in new] == [instance_to_record(i) for i in ref]
+    for seed, n_instances in [(n, 40), (n, 1), (n, 1000), *((s, 40) for s in WIDE_SEEDS)]:
+        ref = _generate_per_child(n, n_instances, ranges, seed=seed)
+        new = generate_instances(n, n_instances, ranges, seed=seed)
+        assert new == ref
+        assert [instance_to_record(i) for i in new] == [instance_to_record(i) for i in ref]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7919, *WIDE_SEEDS])
+def test_child_streams_match_numpy(seed):
+    # k = 101 is N=16 with every global drawn
+    for n, k in [(1, 1), (5, 6), (37, 101)]:
+        seeds, u = _child_streams(seed, n, k)
+        children = np.random.SeedSequence(seed).spawn(n)
+        assert seeds.dtype == np.uint64 and u.shape == (n, k)
+        assert seeds.tolist() == [int(c.generate_state(1, np.uint64)[0]) for c in children]
+        assert np.array_equal(u, [np.random.default_rng(c).random(k) for c in children])
+
+
+def test_generation_builds_no_per_child_generator(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generation must not build numpy seed sequences or generators")
+
+    for name in ("SeedSequence", "default_rng", "Generator", "PCG64"):
+        monkeypatch.setattr(np.random, name, forbidden)
+    monkeypatch.setattr(np.random.bit_generator, "SeedSequence", forbidden)
+    assert len(generate_instances(16, 50, ALL_DRAWN_RANGES, seed=3)) == 50
+
+
+def test_child_streams_memory_is_bounded_by_the_output():
+    tracemalloc.start()
+    try:
+        _, u = _child_streams(7, 20_000, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * u.nbytes
+
+
+def test_generation_rejects_bad_seed_and_count():
+    for seed in (-1, -(2**64), 1.0, "0", None):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            generate_instances(2, 3, seed=seed)
+    for count in (-1, 2**32):
+        with pytest.raises(InvalidParameterError, match="n_instances"):
+            generate_instances(2, count)
 
 
 def test_generation_of_zero_instances():
