@@ -22,7 +22,7 @@ from .experiments import (
 )
 from .model import generate_instances, read_instances, write_instances
 from .mtl import evaluate, load_model, save_model, train, write_training_log
-from .solvers import label_instances, read_labels, solve_batch, write_labels
+from .solvers import SOLVERS, label_instances, read_labels, solve_batch, write_labels
 from .split import best_split, local_joint_crossover, strategy_cost
 
 EXIT_OK = 0
@@ -32,15 +32,8 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 
-def _common(parser: argparse.ArgumentParser, out_required: bool = False) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, required=out_required, help="output path")
-    parser.add_argument("--workers", type=int, default=1)
-
-
 def _solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--solver", choices=("exhaustive", "grid", "sbb"), default="exhaustive")
+    parser.add_argument("--solver", choices=SOLVERS, default="exhaustive")
     parser.add_argument("--grid-step", type=float, default=0.01)
     parser.add_argument("--max-nodes", type=int, default=None,
                         help="sBB node budget (default: unbudgeted)")
@@ -66,13 +59,17 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_label(args) -> int:
+def _label_to_file(args, workers: int = 1) -> int:
     instances = read_instances(args.instances)
     ds = label_instances(instances, solver=args.solver,
-                         solver_kwargs=_solver_kwargs(args), workers=args.workers)
+                         solver_kwargs=_solver_kwargs(args), workers=workers)
     write_labels(args.out, ds)
     print(f"labeled {len(instances)} instances with {args.solver} -> {args.out}")
     return EXIT_OK
+
+
+def cmd_label(args) -> int:
+    return _label_to_file(args, workers=args.workers)
 
 
 def cmd_train(args) -> int:
@@ -98,20 +95,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instances = read_instances(args.instances)
-    reports = solve_batch(instances, args.solver, _solver_kwargs(args))
     if args.out is not None:
-        from .solvers import reports_to_dataset
-
-        write_labels(args.out, reports_to_dataset(instances, reports))
-        print(f"solved {len(instances)} instances -> {args.out}")
-    else:
-        for i, rep in enumerate(reports):
-            sol = rep.solution
-            dec = "".join(str(d) for d in sol.decisions)
-            alloc = ",".join(f"{a:.6f}" for a in sol.alloc)
-            print(f"{i}: decisions={dec} alloc=[{alloc}] cost={sol.cost:.6g} "
-                  f"optimal={rep.proven_optimal} nodes={rep.nodes_explored}")
+        return _label_to_file(args)
+    instances = read_instances(args.instances)
+    for i, rep in enumerate(solve_batch(instances, args.solver, _solver_kwargs(args))):
+        sol = rep.solution
+        dec = "".join(str(d) for d in sol.decisions)
+        alloc = ",".join(f"{a:.6f}" for a in sol.alloc)
+        print(f"{i}: decisions={dec} alloc=[{alloc}] cost={sol.cost:.6g} "
+              f"optimal={rep.proven_optimal} nodes={rep.nodes_explored}")
     return EXIT_OK
 
 
@@ -171,42 +163,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="draw random offloading instances")
-    _common(p, out_required=True)
+    p.add_argument("--config", type=Path, help="offload config file (key = value)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, required=True, help="instance file to write")
     p.add_argument("--count", type=int, default=40000)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("label", help="solve instances into a labeled dataset")
     p.add_argument("instances", type=Path)
-    _common(p, out_required=True)
+    p.add_argument("--out", type=Path, required=True, help="label file to write")
+    p.add_argument("--workers", type=int, default=1)
     _solver_flags(p)
     p.set_defaults(fn=cmd_label)
 
     p = sub.add_parser("train", help="train the MTL model on a labeled dataset")
     p.add_argument("labels", type=Path)
-    _common(p, out_required=True)
+    p.add_argument("--config", type=Path, help="train config file (key = value)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, required=True, help="model file to write")
     p.add_argument("--log", type=Path, default=None, help="training-log CSV path")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model on a labeled dataset")
     p.add_argument("model", type=Path)
     p.add_argument("labels", type=Path)
-    _common(p)
     p.add_argument("--decision-source", choices=("class", "reg"), default="class")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("solve", help="solve instances and print or save solutions")
     p.add_argument("instances", type=Path)
-    _common(p)
+    p.add_argument("--out", type=Path, help="label file to write instead of printing")
     _solver_flags(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("split-plan", help="split-point choice and strategy costs")
-    _common(p)
+    p.add_argument("--config", type=Path, help="split config file (key = value)")
+    p.add_argument("--out", type=Path, help="eta-sweep CSV to write")
     p.add_argument("--eta", type=float, default=0.3, help="bad-data ratio to report costs at")
     p.set_defaults(fn=cmd_split_plan)
 
     p = sub.add_parser("experiment", help="run or replay an experiment pipeline")
-    _common(p, out_required=True)
+    p.add_argument("--config", type=Path, help="experiment config file (prefixed keys)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--kind", choices=EXPERIMENT_KINDS, default=None)
     p.add_argument("--replay", type=Path, default=None, help="manifest.json to replay")
     p.set_defaults(fn=cmd_experiment)

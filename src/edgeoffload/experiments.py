@@ -42,6 +42,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {EXPERIMENT_KINDS}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
@@ -248,7 +250,7 @@ _RUNNERS = {
 
 def run_experiment(spec: ExperimentSpec) -> RunManifest:
     """Run one experiment pipeline and write CSV + plot script + manifest."""
-    fams = _split_families(spec.config_text) if spec.config_text else _split_families("")
+    fams = _split_families(spec.config_text)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     stages = _Stages(spec.out_dir)
     _RUNNERS[spec.kind](spec, fams, stages)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, FileFormatError, ShapeError, ValidationError
 from .model import OffloadInstance, OffloadSolution, raw_features, total_cost
-from .solvers import LabeledDataset, mask_to_decisions, optimal_allocation
+from .solvers import LabeledDataset, decisions_to_mask, mask_to_decisions, optimal_allocation
 
 MODEL_FILE_HEADER = b"mtl-model v1\n"
 DEFAULT_HIDDEN = (12, 12)  # largest symmetric pair keeping the N=2 file <= 2048 B
@@ -446,8 +446,6 @@ def evaluate(
 
 def solver_metrics(reports, ds: LabeledDataset) -> EvalMetrics:
     """Score solver outputs against oracle labels with the same metrics."""
-    from .solvers import decisions_to_mask
-
     masks = np.array([decisions_to_mask(r.solution.decisions) for r in reports])
     alloc = np.array([r.solution.alloc for r in reports])
     accuracy = float((masks == ds.decision).mean())

@@ -39,24 +39,18 @@ from .model import (
 
 LABELS_FILE_HEADER = "offload-labels v1"
 
-BRANCHING_RULES = ("most-fractional-first", "lowest-index")
+SOLVERS = ("exhaustive", "grid", "sbb")
 
 
 @dataclass(frozen=True)
 class SbbConfig:
-    """Budget and search-order knobs of the branch-and-bound solver."""
+    """Node budget of the branch-and-bound solver."""
 
     max_nodes: int = 1 << 20
-    gap_tolerance: float = 0.0
-    branching_rule: str = "most-fractional-first"
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ConfigError("max_nodes must be >= 1")
-        if self.gap_tolerance < 0.0:
-            raise ConfigError("gap_tolerance must be >= 0")
-        if self.branching_rule not in BRANCHING_RULES:
-            raise ConfigError(f"unknown branching rule {self.branching_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -303,7 +297,10 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
     outcome min(local, offload at alpha=1). Admissible because real shares
     never exceed 1 and offload cost is decreasing in the share.  Incumbents
     come from greedy completion (free vehicles pick the cheaper of local vs.
-    an equal 1/N share) re-costed with the closed-form allocation.
+    an equal 1/N share) re-costed with the closed-form allocation.  It
+    branches on the free vehicle whose local and full-share offload costs are
+    closest, and the incumbent is proven optimal once the lowest open bound
+    reaches its cost.
     """
     cfg = cfg or SbbConfig()
     t0 = time.perf_counter()
@@ -334,32 +331,24 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
             inc_cost, inc_mask = cost, mask
 
     # heap entries: (lower bound, insertion order, fixed_mask, dec_mask)
-    root_lb = float(per_best.sum())
-    heap = [(root_lb, 0, 0, 0)]
+    heap = [(float(per_best.sum()), 0, 0, 0)]
     pushes = 1
     nodes = 0
     proven = False
-    lowest_open = root_lb
     while heap:
         lb, _, fixed_mask, dec_mask = heapq.heappop(heap)
-        lowest_open = lb
         if nodes >= cfg.max_nodes:
+            proven = lb >= inc_cost
             break
         nodes += 1
-        gap = (inc_cost - lb) / max(abs(inc_cost), 1e-300)
-        if gap <= cfg.gap_tolerance:
+        if lb >= inc_cost:
             proven = True
             break
-        if lb > inc_cost:
-            continue
         free = [i for i in range(n) if not (fixed_mask >> (n - 1 - i)) & 1]
         if not free:
             consider(dec_mask)
             continue
-        if cfg.branching_rule == "lowest-index":
-            var = free[0]
-        else:
-            var = min(free, key=lambda i: (ambiguity[i], i))
+        var = min(free, key=lambda i: (ambiguity[i], i))
         bit = 1 << (n - 1 - var)
         for take in (0, bit):
             child_fixed = fixed_mask | bit
@@ -372,11 +361,7 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
                 heapq.heappush(heap, (child_lb, pushes, child_fixed, child_dec))
     else:
         proven = True  # heap exhausted: every open node was pruned or expanded
-        lowest_open = inc_cost
-    if not proven:
-        gap = (inc_cost - lowest_open) / max(abs(inc_cost), 1e-300)
-        proven = gap <= cfg.gap_tolerance
-    if proven and cfg.gap_tolerance == 0.0:
+    if proven:
         # a node bound equals the cost of a mask below it only if that mask
         # has at most one offloader, so pruning or stopping at a bound equal
         # to the optimum can hide only such ties; check them all so exact
@@ -408,11 +393,9 @@ class LabeledDataset:
         return self.alloc.shape[1]
 
 
-_SOLVERS = {
-    "exhaustive": lambda inst, kw: solve_exhaustive(inst),
-    "grid": lambda inst, kw: solve_grid(inst, **kw),
-    "sbb": lambda inst, kw: solve_sbb(inst, SbbConfig(**kw)) if kw else solve_sbb(inst),
-}
+def _check_solver(solver: str) -> None:
+    if solver not in SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}; choose from {list(SOLVERS)}")
 
 
 def solve_batch(
@@ -421,13 +404,14 @@ def solve_batch(
     solver_kwargs: dict | None = None,
 ) -> list[SolveReport]:
     """Solve a batch with one of the named solvers, preserving input order."""
-    if solver not in _SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}; choose from {sorted(_SOLVERS)}")
+    _check_solver(solver)
+    kw = solver_kwargs or {}
     if solver == "exhaustive":
         return batch_solve_exhaustive(instances)
-    kw = dict(solver_kwargs or {})
-    fn = _SOLVERS[solver]
-    return [fn(inst, kw) for inst in instances]
+    if solver == "grid":
+        return [solve_grid(inst, **kw) for inst in instances]
+    cfg = SbbConfig(**kw)
+    return [solve_sbb(inst, cfg) for inst in instances]
 
 
 def _report_columns(reports: list[SolveReport]):
@@ -457,8 +441,7 @@ def label_instances(
 
     The batch must be non-empty and share one N.
     """
-    if solver not in _SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}; choose from {sorted(_SOLVERS)}")
+    _check_solver(solver)
     if not instances:
         raise ValidationError("no instances to label")
     kw = dict(solver_kwargs or {})
@@ -474,15 +457,6 @@ def label_instances(
     else:
         decision, alloc, cost = _label_chunk((instances, features, solver, kw))
     return LabeledDataset(features=features, decision=decision, alloc=alloc, cost=cost)
-
-
-def reports_to_dataset(
-    instances: list[OffloadInstance], reports: list[SolveReport]
-) -> LabeledDataset:
-    decision, alloc, cost = _report_columns(reports)
-    return LabeledDataset(
-        features=batch_features(instances), decision=decision, alloc=alloc, cost=cost
-    )
 
 
 def write_labels(path, ds: LabeledDataset) -> None:

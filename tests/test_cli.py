@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from edgeoffload.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -136,3 +138,52 @@ def test_experiment_stage_failure_cleans_outputs(tmp_path):
     assert rc != EXIT_OK
     assert not (out / "fig6.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+# positional arguments and required options of each command
+_BASE_ARGV = {
+    "generate": ["--out", "i.txt"],
+    "label": ["i.txt", "--out", "l.csv"],
+    "train": ["l.csv", "--out", "m.bin"],
+    "eval": ["m.bin", "l.csv"],
+    "solve": ["i.txt"],
+    "split-plan": [],
+    "experiment": ["--kind", "fig6-eta", "--out", "run"],
+}
+
+
+# each command accepts only the options its handler reads
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--workers"), ("train", "--workers"), ("experiment", "--workers"),
+    ("label", "--config"), ("label", "--seed"),
+    ("eval", "--config"), ("eval", "--seed"), ("eval", "--out"), ("eval", "--workers"),
+    ("solve", "--config"), ("solve", "--seed"), ("solve", "--workers"),
+    ("split-plan", "--seed"), ("split-plan", "--workers"),
+])
+def test_unread_option_is_a_usage_error(tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        _run(command, *_BASE_ARGV[command], flag, "1")
+    assert excinfo.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("solver_args", [
+    ["--solver", "exhaustive"],
+    ["--solver", "grid", "--grid-step", "0.1"],
+    ["--solver", "sbb"],
+])
+def test_solve_out_writes_the_label_file(tmp_path, solver_args):
+    inst = tmp_path / "inst.txt"
+    labeled, solved = tmp_path / "labeled.csv", tmp_path / "solved.csv"
+    assert _run("generate", "--count", "25", "--seed", "9", "--out", str(inst)) == EXIT_OK
+    assert _run("label", str(inst), *solver_args, "--out", str(labeled)) == EXIT_OK
+    assert _run("solve", str(inst), *solver_args, "--out", str(solved)) == EXIT_OK
+    assert solved.read_bytes() == labeled.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["fig6-eta", "fig5b-n-avs"])
+def test_experiment_negative_seed_is_a_config_error(tmp_path, kind):
+    out = tmp_path / "run"
+    assert _run("experiment", "--kind", kind, "--seed", "-1", "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()

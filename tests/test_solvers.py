@@ -18,7 +18,6 @@ from edgeoffload.model import (
     total_cost,
 )
 from edgeoffload.solvers import (
-    BRANCHING_RULES,
     _batch_arrays,
     _instance_arrays,
     LabeledDataset,
@@ -268,20 +267,17 @@ def test_sbb_tie_break_matches_exhaustive_lexicographic():
         assert len(ties) == math.comb(4, offloaders)
         ex = solve_exhaustive(inst)
         assert decisions_to_mask(ex.solution.decisions) == ties[0]
-        for rule in BRANCHING_RULES:
-            bb = solve_sbb(inst, SbbConfig(branching_rule=rule))
-            assert bb.solution.decisions == ex.solution.decisions
+        assert solve_sbb(inst).solution.decisions == ex.solution.decisions
 
 
 @pytest.mark.parametrize("cpu_cycles", [1e9, 2e9])
 @pytest.mark.parametrize("edge_freq", [1e9, 2e9, 3e9, 5e9, 1e10, 3e10])
-@pytest.mark.parametrize("rule", BRANCHING_RULES)
-def test_exact_sbb_ties_match_exhaustive_for_identical_vehicles(cpu_cycles, edge_freq, rule):
+def test_exact_sbb_ties_match_exhaustive_for_identical_vehicles(cpu_cycles, edge_freq):
     # every mask with the same number of offloaders ties; sBB prices masks
     # with the kernel's own operations, so it must pick the kernel's mask
     for n in range(2, 11):
         inst = _identical_vehicles(n, edge_freq, cpu_cycles)
         ex = solve_exhaustive(inst)
-        bb = solve_sbb(inst, SbbConfig(branching_rule=rule))
+        bb = solve_sbb(inst)
         assert bb.proven_optimal
         assert bb.solution.decisions == ex.solution.decisions, n
