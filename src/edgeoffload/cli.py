@@ -108,7 +108,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_split_plan(args) -> int:
-    scenario, eta_step = split_scenario(_read_cfg(args) or None)
+    scenario, eta_step = split_scenario(_read_cfg(args))
     k, cost = best_split(scenario)
     print(f"best split point k={k} (offload-path cost {cost:.6g})")
     at_eta = replace(scenario, eta=args.eta)

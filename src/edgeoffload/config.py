@@ -1,16 +1,21 @@
-"""Flat key-value config files and builders for the shipped defaults.
+"""Flat key-value config files and builders for the config families.
 
 One format serves every config family: ``key = value`` lines, ``#`` comments,
-dotted keys for grouped fields (``data_size_bits.min``).  The documented keys
-are listed in the README; unknown keys are rejected to catch typos.
+dotted keys for grouped fields (``data_size_bits.min``).  Each family has one
+set of defaults (offload: ``model.DEFAULT_RANGES``; train: the fields of
+``mtl.TrainConfig``; split: the shipped ``split_default.cfg``) and the
+user's keys are overlaid on them.  The documented keys are listed in the
+README; unknown keys are rejected to catch typos.
 """
 from __future__ import annotations
 
+import dataclasses
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import DEFAULT_RANGES, CostWeights, EdgeParams, VehicleParams, validate_ranges
+from .mtl import TrainConfig
 from .split import AccuracyModel, InferenceScenario, LayerProfile
 
 OFFLOAD_KEYS = {
@@ -23,20 +28,6 @@ OFFLOAD_KEYS = {
     "gain.min", "gain.max",
     "noise_power", "edge_freq", "kappa", "w_time", "w_energy",
 }
-
-TRAIN_KEYS = {
-    "chi_c", "chi_r", "chi_l", "epochs", "batch_size", "learning_rate",
-    "adam_beta1", "adam_beta2", "adam_epsilon", "seed", "train_fraction",
-    "hidden_sizes",
-}
-
-SPLIT_KEYS = {
-    "input_bytes", "n_layers", "split_index", "eta_step",
-    "local_freq", "tx_power", "gain", "bandwidth", "noise_power", "edge_freq",
-    "kappa", "w_time", "w_energy",
-    "acc_snn_good", "acc_snn_bad", "acc_full", "miss_penalty",
-}
-
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
     out: dict[str, str] = {}
@@ -65,14 +56,14 @@ def read_kv_file(path) -> dict[str, str]:
 
 
 def default_config_text(name: str) -> str:
-    """Text of a shipped default config (``offload``, ``train`` or ``split``)."""
+    """Text of a shipped default config (only ``split`` ships one)."""
     try:
         return (resources.files("edgeoffload.data") / f"{name}_default.cfg").read_text("utf-8")
     except FileNotFoundError as exc:
         raise ConfigError(f"no shipped default config named {name!r}") from exc
 
 
-def _as_float(kv: dict[str, str], key: str) -> float:
+def as_float(kv: dict[str, str], key: str) -> float:
     try:
         return float(kv[key])
     except KeyError as exc:
@@ -81,8 +72,8 @@ def _as_float(kv: dict[str, str], key: str) -> float:
         raise ConfigError(f"config key {key!r} is not a number: {kv[key]!r}") from exc
 
 
-def _as_int(kv: dict[str, str], key: str) -> int:
-    v = _as_float(kv, key)
+def as_int(kv: dict[str, str], key: str) -> int:
+    v = as_float(kv, key)
     if v != int(v):
         raise ConfigError(f"config key {key!r} must be an integer, got {kv[key]!r}")
     return int(v)
@@ -94,6 +85,23 @@ def _check_keys(kv: dict[str, str], allowed: set[str], family: str) -> None:
         raise ConfigError(f"unknown {family} config keys: {sorted(unknown)}")
 
 
+def _typed(default, kv: dict[str, str], key: str):
+    """``kv[key]`` parsed to the type of ``default``: an int, a float, or a
+    non-empty comma list (a tuple) whose entries take the type of ``default[0]``."""
+    if isinstance(default, tuple):
+        entries = [s.strip() for s in kv[key].split(",") if s.strip()]
+        if not entries:
+            raise ConfigError(f"config key {key!r} needs at least one entry")
+        return tuple(_typed(default[0], {key: s}, key) for s in entries)
+    return as_int(kv, key) if isinstance(default, int) else as_float(kv, key)
+
+
+def overlay(defaults: dict, kv: dict[str, str], family: str) -> dict:
+    """``defaults`` with each key of ``kv`` on top, typed like its default."""
+    _check_keys(kv, set(defaults), family)
+    return {**defaults, **{key: _typed(defaults[key], kv, key) for key in kv}}
+
+
 # ---------------------------------------------------------------------------
 # offload / instance-generation config
 # ---------------------------------------------------------------------------
@@ -102,13 +110,13 @@ def offload_config(kv: dict[str, str] | None = None) -> tuple[int, dict[str, tup
     """(n_vehicles, ranges) from a key-value mapping; defaults fill the gaps."""
     kv = dict(kv or {})
     _check_keys(kv, OFFLOAD_KEYS, "offload")
-    n_vehicles = _as_int(kv, "n_vehicles") if "n_vehicles" in kv else 2
+    n_vehicles = as_int(kv, "n_vehicles") if "n_vehicles" in kv else 2
     ranges = dict(DEFAULT_RANGES)
     for name in ranges:
         if f"{name}.min" in kv or f"{name}.max" in kv:
-            ranges[name] = (_as_float(kv, f"{name}.min"), _as_float(kv, f"{name}.max"))
+            ranges[name] = (as_float(kv, f"{name}.min"), as_float(kv, f"{name}.max"))
         elif name in kv:
-            v = _as_float(kv, name)
+            v = as_float(kv, name)
             ranges[name] = (v, v)
     validate_ranges(ranges)
     return n_vehicles, ranges
@@ -118,30 +126,15 @@ def offload_config(kv: dict[str, str] | None = None) -> tuple[int, dict[str, tup
 # training config
 # ---------------------------------------------------------------------------
 
-def train_config(kv: dict[str, str] | None = None, **overrides):
-    from .mtl import TrainConfig
-
+def train_config(kv: dict[str, str] | None = None, **overrides) -> TrainConfig:
+    """``TrainConfig`` from a key-value mapping; ``overrides`` win over it."""
     kv = dict(kv or {})
-    _check_keys(kv, TRAIN_KEYS, "train")
     if "chi_l" in kv:  # accepted alias for the regression weight
         if "chi_r" in kv:
             raise ConfigError("give chi_r or its alias chi_l, not both")
         kv["chi_r"] = kv.pop("chi_l")
-    kwargs: dict = {}
-    for key in ("chi_c", "chi_r", "learning_rate", "adam_beta1", "adam_beta2",
-                "adam_epsilon", "train_fraction"):
-        if key in kv:
-            kwargs[key] = _as_float(kv, key)
-    for key in ("epochs", "batch_size", "seed"):
-        if key in kv:
-            kwargs[key] = _as_int(kv, key)
-    if "hidden_sizes" in kv:
-        try:
-            kwargs["hidden_sizes"] = tuple(int(s) for s in kv["hidden_sizes"].split(",") if s.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad hidden_sizes {kv['hidden_sizes']!r}") from exc
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    return TrainConfig(**{**overlay(defaults, kv, "train"), **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +142,37 @@ def train_config(kv: dict[str, str] | None = None, **overrides):
 # ---------------------------------------------------------------------------
 
 def split_scenario(kv: dict[str, str] | None = None) -> tuple[InferenceScenario, float]:
-    """(scenario, eta grid step) from a key-value mapping."""
-    if kv is None:
-        kv = parse_kv_text(default_config_text("split"), "<split defaults>")
-    layer_keys = {k for k in kv if k.startswith("layer")}
-    _check_keys({k: v for k, v in kv.items() if k not in layer_keys}, SPLIT_KEYS, "split")
-    n_layers = _as_int(kv, "n_layers")
+    """(scenario, eta grid step) from the shipped scenario with ``kv`` on top."""
+    user = kv or {}
+    defaults = parse_kv_text(default_config_text("split"), "<split defaults>")
+    kv = {**defaults, **user}
+    n_layers = as_int(kv, "n_layers")
+    # the shipped file names every key; layer keys go up to the run's n_layers
+    allowed = {k for k in defaults if not k.startswith("layer")}
+    allowed.update(f"layer{i}.{part}" for i in range(1, n_layers + 1) for part in ("cycles", "bytes"))
+    _check_keys(user, allowed, "split")
     layers = []
     for i in range(1, n_layers + 1):
-        layers.append((_as_float(kv, f"layer{i}.cycles"), _as_float(kv, f"layer{i}.bytes")))
-    profile = LayerProfile(input_size=_as_float(kv, "input_bytes"), layers=tuple(layers))
+        layers.append((as_float(kv, f"layer{i}.cycles"), as_float(kv, f"layer{i}.bytes")))
+    profile = LayerProfile(input_size=as_float(kv, "input_bytes"), layers=tuple(layers))
     total_cycles = sum(c for c, _ in profile.layers)
     vehicle = VehicleParams(
         data_size=profile.input_size * 8.0,
         cpu_cycles=total_cycles,
-        local_freq=_as_float(kv, "local_freq"),
-        tx_power=_as_float(kv, "tx_power"),
-        channel_gain=_as_float(kv, "gain"),
-        bandwidth=_as_float(kv, "bandwidth"),
+        local_freq=as_float(kv, "local_freq"),
+        tx_power=as_float(kv, "tx_power"),
+        channel_gain=as_float(kv, "gain"),
+        bandwidth=as_float(kv, "bandwidth"),
     )
-    edge = EdgeParams(edge_freq=_as_float(kv, "edge_freq"), noise_power=_as_float(kv, "noise_power"))
+    edge = EdgeParams(edge_freq=as_float(kv, "edge_freq"), noise_power=as_float(kv, "noise_power"))
     weights = CostWeights(
-        w_time=_as_float(kv, "w_time"), w_energy=_as_float(kv, "w_energy"), kappa=_as_float(kv, "kappa")
+        w_time=as_float(kv, "w_time"), w_energy=as_float(kv, "w_energy"), kappa=as_float(kv, "kappa")
     )
     acc = AccuracyModel(
-        acc_snn_good=_as_float(kv, "acc_snn_good"),
-        acc_snn_bad=_as_float(kv, "acc_snn_bad"),
-        acc_full=_as_float(kv, "acc_full"),
-        miss_penalty=_as_float(kv, "miss_penalty"),
+        acc_snn_good=as_float(kv, "acc_snn_good"),
+        acc_snn_bad=as_float(kv, "acc_snn_bad"),
+        acc_full=as_float(kv, "acc_full"),
+        miss_penalty=as_float(kv, "miss_penalty"),
     )
     scenario = InferenceScenario(
         vehicle=vehicle,
@@ -184,9 +180,9 @@ def split_scenario(kv: dict[str, str] | None = None) -> tuple[InferenceScenario,
         weights=weights,
         profile=profile,
         acc=acc,
-        split_index=_as_int(kv, "split_index"),
+        split_index=as_int(kv, "split_index"),
     )
-    eta_step = _as_float(kv, "eta_step") if "eta_step" in kv else 0.05
+    eta_step = as_float(kv, "eta_step")
     if not 0.0 < eta_step <= 1.0:
         raise ConfigError(f"eta_step must be in (0, 1], got {eta_step!r}")
     return scenario, eta_step

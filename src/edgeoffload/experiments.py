@@ -14,21 +14,38 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import offload_config, parse_kv_text, split_scenario, train_config, default_config_text
+from .config import offload_config, overlay, parse_kv_text, split_scenario, train_config
 from .errors import ConfigError, EdgeOffloadError
-from .model import generate_instances
-from .mtl import evaluate, solver_metrics, train
+from .model import MAX_VEHICLES, generate_instances
+from .mtl import TrainConfig, evaluate, solver_metrics, train
 from .solvers import SbbConfig, label_instances, solve_sbb
 from .split import InferenceScenario, eta_sweep
 
-EXPERIMENT_KINDS = ("fig5a-training-fraction", "fig5b-n-avs", "fig6-eta")
+# the experiment.* keys each kind reads, with their defaults
+EXPERIMENT_DEFAULTS: dict[str, dict] = {
+    "fig5a-training-fraction": {
+        "samples": 40000,
+        "test_samples": 4000,
+        "fractions": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+    },
+    "fig5b-n-avs": {
+        "samples": 40000,
+        "test_samples": 2000,
+        "n_list": (2, 3, 4, 5, 6, 7, 8),
+        # a node budget that makes the sBB baseline measurably suboptimal
+        "sbb_max_nodes": 16,
+    },
+    "fig6-eta": {},
+}
+EXPERIMENT_KINDS = tuple(EXPERIMENT_DEFAULTS)
 
-# documented default node budget that makes the sBB baseline measurably
-# suboptimal in the solver-comparison sweep
-DEFAULT_SBB_BUDGET = 16
-
-_EXPERIMENT_KEYS = {
-    "samples", "test_samples", "fractions", "n_list", "sbb_max_nodes",
+# the keys of the other families each kind does not read: a whole family, or
+# one family.key that the kind's runner sets itself
+_UNREAD_KEYS = {
+    "fig5a-training-fraction": {"split", "train.train_fraction", "train.seed"},
+    "fig5b-n-avs": {"split", "offload.n_vehicles", "train.chi_c", "train.chi_r",
+                    "train.chi_l", "train.hidden_sizes", "train.seed"},
+    "fig6-eta": {"offload", "train"},
 }
 
 
@@ -73,34 +90,50 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _split_families(config_text: str) -> dict[str, dict[str, str]]:
-    kv = parse_kv_text(config_text, "<experiment config>")
+def _split_families(spec: ExperimentSpec) -> dict[str, dict[str, str]]:
+    kv = parse_kv_text(spec.config_text, "<experiment config>")
     fams: dict[str, dict[str, str]] = {"offload": {}, "train": {}, "split": {}, "experiment": {}}
+    unread = _UNREAD_KEYS[spec.kind]
     for key, value in kv.items():
         fam, _, rest = key.partition(".")
         if fam not in fams or not rest:
             raise ConfigError(
                 f"experiment config keys must be prefixed with one of {sorted(fams)}: {key!r}"
             )
+        if fam in unread or key in unread:
+            raise ConfigError(f"{spec.kind} does not read config key {key!r}")
         fams[fam][rest] = value
-    unknown = set(fams["experiment"]) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown experiment.* keys: {sorted(unknown)}")
     return fams
 
 
-def _merged_kv(fams: dict[str, dict[str, str]], family: str) -> dict[str, str]:
-    """The shipped defaults of one config family with the run's overrides on top."""
-    kv = parse_kv_text(default_config_text(family), f"<{family} defaults>")
-    kv.update(fams[family])
-    return kv
-
-
-def _float_list(text: str, key: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad {key} list {text!r}") from exc
+def resolve_config(spec: ExperimentSpec) -> dict:
+    """The keyword arguments of the kind's runner, built and validated from
+    the spec's config text: every family's keys overlaid on its defaults."""
+    fams = _split_families(spec)
+    exp = overlay(EXPERIMENT_DEFAULTS[spec.kind], fams["experiment"], "experiment")
+    if spec.kind == "fig6-eta":
+        scenario, eta_step = split_scenario(fams["split"])
+        return {"scenario": scenario, "eta_step": eta_step}
+    for key in ("samples", "test_samples"):
+        if exp[key] < 1:
+            raise ConfigError(f"experiment.{key} must be >= 1, got {exp[key]}")
+    n_vehicles, ranges = offload_config(fams["offload"])
+    sizes = exp.get("n_list", (n_vehicles,))  # the vehicle counts the run draws
+    bad = [n for n in sizes if not 1 <= n <= MAX_VEHICLES]
+    if bad:
+        raise ConfigError(f"vehicle counts must be in 1..{MAX_VEHICLES}, got {bad}")
+    data = {"seed": spec.seed, "ranges": ranges,
+            "samples": exp["samples"], "test_samples": exp["test_samples"]}
+    if spec.kind == "fig5a-training-fraction":
+        runs = [(frac, train_config(fams["train"], train_fraction=frac, seed=spec.seed))
+                for frac in exp["fractions"]]
+        return {**data, "n_vehicles": n_vehicles, "runs": runs}
+    # past 5 vehicles the classifier target is dropped (chi_c = 0) and
+    # decisions come from thresholding the regression head
+    runs = [(n, train_config(fams["train"], chi_c=0.0 if n > 5 else 1.0, chi_r=1.0,
+                             seed=spec.seed, hidden_sizes=(64, 64) if n > 5 else (32, 32)))
+            for n in exp["n_list"]]
+    return {**data, "runs": runs, "sbb": SbbConfig(max_nodes=exp["sbb_max_nodes"])}
 
 
 class _Stages:
@@ -158,25 +191,18 @@ def _gnuplot(csv_name: str, ylabel: str, columns: list[tuple[int, str]]) -> str:
 # the three pipelines
 # ---------------------------------------------------------------------------
 
-def _run_fig5a(spec: ExperimentSpec, fams, stages: _Stages) -> None:
-    exp = fams["experiment"]
-    n_samples = int(float(exp.get("samples", "40000")))
-    n_test = int(float(exp.get("test_samples", "4000")))
-    fractions = _float_list(exp.get("fractions", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"),
-                            "fractions")
-    n_vehicles, ranges = offload_config(fams["offload"])
-
+def _run_fig5a(stages: _Stages, *, seed: int, n_vehicles: int,
+               ranges: dict[str, tuple[float, float]], samples: int, test_samples: int,
+               runs: list[tuple[float, TrainConfig]]) -> None:
     def make_data():
-        train_insts = generate_instances(n_vehicles, n_samples, ranges, seed=spec.seed)
-        test_insts = generate_instances(n_vehicles, n_test, ranges, seed=spec.seed + 1)
+        train_insts = generate_instances(n_vehicles, samples, ranges, seed=seed)
+        test_insts = generate_instances(n_vehicles, test_samples, ranges, seed=seed + 1)
         return label_instances(train_insts), label_instances(test_insts)
 
     ds, test_ds = stages.run("label", make_data)
 
     rows = []
-    for frac in fractions:
-        cfg = train_config(_merged_kv(fams, "train"),
-                           train_fraction=frac, seed=spec.seed)
+    for frac, cfg in runs:
         model, _ = stages.run(f"train@{frac}", lambda: train(ds, cfg))
         metrics = evaluate(model, test_ds)
         rows.append((frac, metrics.class_accuracy, metrics.reg_mse))
@@ -189,34 +215,23 @@ def _run_fig5a(spec: ExperimentSpec, fams, stages: _Stages) -> None:
                                      [(2, "accuracy"), (3, "alloc MSE")]))
 
 
-def _run_fig5b(spec: ExperimentSpec, fams, stages: _Stages) -> None:
-    exp = fams["experiment"]
-    n_samples = int(float(exp.get("samples", "40000")))
-    n_test = int(float(exp.get("test_samples", "2000")))
-    n_list = [int(x) for x in _float_list(exp.get("n_list", "2,3,4,5,6,7,8"), "n_list")]
-    budget = int(float(exp.get("sbb_max_nodes", str(DEFAULT_SBB_BUDGET))))
-    _, ranges = offload_config(fams["offload"])
-    sbb_cfg = SbbConfig(max_nodes=budget)
-
+def _run_fig5b(stages: _Stages, *, seed: int, ranges: dict[str, tuple[float, float]],
+               samples: int, test_samples: int, runs: list[tuple[int, TrainConfig]],
+               sbb: SbbConfig) -> None:
     rows = []
-    for n in n_list:
+    for n, cfg in runs:
         def make_data(n=n):
-            train_insts = generate_instances(n, n_samples, ranges, seed=spec.seed)
-            test_insts = generate_instances(n, n_test, ranges, seed=spec.seed + 1)
+            train_insts = generate_instances(n, samples, ranges, seed=seed)
+            test_insts = generate_instances(n, test_samples, ranges, seed=seed + 1)
             return train_insts, test_insts, label_instances(train_insts), label_instances(test_insts)
 
         train_insts, test_insts, ds, test_ds = stages.run(f"label@N={n}", make_data)
-        # past 5 vehicles the classifier target is dropped and decisions come
-        # from thresholding the regression head
-        chi_c = 0.0 if n > 5 else 1.0
-        source = "reg" if n > 5 else "class"
-        hidden = (64, 64) if n > 5 else (32, 32)
-        cfg = train_config(_merged_kv(fams, "train"),
-                           chi_c=chi_c, chi_r=1.0, seed=spec.seed, hidden_sizes=hidden)
         model, _ = stages.run(f"train@N={n}", lambda: train(ds, cfg))
+        # a model trained without the classifier target decides by its regression head
+        source = "reg" if cfg.chi_c == 0.0 else "class"
         mtl_metrics = evaluate(model, test_ds, decision_source=source)
         sbb_reports = stages.run(
-            f"sbb@N={n}", lambda: [solve_sbb(inst, sbb_cfg) for inst in test_insts]
+            f"sbb@N={n}", lambda: [solve_sbb(inst, sbb) for inst in test_insts]
         )
         sbb_metrics = solver_metrics(sbb_reports, test_ds)
         rows.append((n, mtl_metrics.class_accuracy, sbb_metrics.class_accuracy,
@@ -232,10 +247,7 @@ def _run_fig5b(spec: ExperimentSpec, fams, stages: _Stages) -> None:
                                      [(2, "MTL"), (3, "budgeted sBB")]))
 
 
-def _run_fig6(spec: ExperimentSpec, fams, stages: _Stages) -> None:
-    scenario, eta_step = stages.run(
-        "config", lambda: split_scenario(_merged_kv(fams, "split"))
-    )
+def _run_fig6(stages: _Stages, *, scenario: InferenceScenario, eta_step: float) -> None:
     stages.emit("fig6.csv", stages.run("sweep", lambda: _eta_sweep_csv(scenario, eta_step)))
     stages.emit("fig6.gp", _gnuplot("fig6.csv", "expected weighted-sum cost",
                                     [(2, "local"), (3, "edge"), (4, "joint")]))
@@ -250,10 +262,10 @@ _RUNNERS = {
 
 def run_experiment(spec: ExperimentSpec) -> RunManifest:
     """Run one experiment pipeline and write CSV + plot script + manifest."""
-    fams = _split_families(spec.config_text)
+    job = resolve_config(spec)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     stages = _Stages(spec.out_dir)
-    _RUNNERS[spec.kind](spec, fams, stages)
+    _RUNNERS[spec.kind](stages, **job)
     manifest = RunManifest(
         tool_version=__version__,
         kind=spec.kind,

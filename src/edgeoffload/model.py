@@ -30,6 +30,15 @@ ALLOC_SUM_TOL = 1e-9
 
 INSTANCE_FILE_HEADER = "offload-instance v1"
 
+# feature layout: one block per vehicle (the VehicleParams fields, in order),
+# then edge_freq, noise_power, w_time and w_energy
+PER_VEHICLE_FEATURES = 6
+N_GLOBAL_FEATURES = 4
+
+
+def feature_count(n_vehicles: int) -> int:
+    return PER_VEHICLE_FEATURES * n_vehicles + N_GLOBAL_FEATURES
+
 
 def _check_positive(name: str, value: float, maximum: float | None = None) -> None:
     if not math.isfinite(value) or value <= 0.0:
@@ -213,8 +222,8 @@ def batch_features(instances: Sequence[OffloadInstance]) -> np.ndarray:
             map(_vehicle_fields, itertools.chain.from_iterable(i.vehicles for i in instances))
         ),
         dtype=np.float64,
-        count=6 * n * len(instances),
-    ).reshape(len(instances), 6 * n)
+        count=PER_VEHICLE_FEATURES * n * len(instances),
+    ).reshape(len(instances), PER_VEHICLE_FEATURES * n)
     globals_ = np.array(
         [
             (i.edge.edge_freq, i.edge.noise_power, i.weights.w_time, i.weights.w_energy)
@@ -252,6 +261,11 @@ _VEHICLE_PARAM_SOURCES = [
 # the order generation draws the globals in (that of the constructor arguments)
 _GLOBAL_DRAW_ORDER = ["edge_freq", "noise_power", "w_time", "w_energy", "kappa"]
 
+# Default offloading-problem ranges, the defaults of the offload config
+# family.  Per-vehicle parameters are drawn uniformly from [min, max]; a
+# pinned value has min == max.  The CPU frequencies and 10 W transmit power
+# follow the case-study setting; the remaining constants are calibration
+# defaults, not reported values.
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "data_size_bits": (0.5e6, 4e6),
     "cpu_cycles": (0.2e9, 2e9),

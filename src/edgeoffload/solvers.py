@@ -29,9 +29,12 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    N_GLOBAL_FEATURES,
+    PER_VEHICLE_FEATURES,
     OffloadInstance,
     OffloadSolution,
     batch_features,
+    feature_count,
     local_cost,
     total_cost,
     uplink_rate,
@@ -125,9 +128,11 @@ def _feature_columns(features: np.ndarray):
     """Views of ``batch_features`` rows: the six (n_inst, N) vehicle fields in
     ``VehicleParams`` order, then edge_freq, noise_power, w_time and w_energy
     as (n_inst, 1) columns."""
-    n = (features.shape[1] - 4) // 6
-    vehicles = features[:, : 6 * n].reshape(len(features), n, 6)
-    return [vehicles[:, :, j] for j in range(6)] + [features[:, 6 * n + j, None] for j in range(4)]
+    k = features.shape[1] - N_GLOBAL_FEATURES
+    n = k // PER_VEHICLE_FEATURES
+    vehicles = features[:, :k].reshape(len(features), n, PER_VEHICLE_FEATURES)
+    return [vehicles[:, :, j] for j in range(PER_VEHICLE_FEATURES)] + [
+        features[:, k + j, None] for j in range(N_GLOBAL_FEATURES)]
 
 
 def _batch_arrays(instances: list[OffloadInstance], features: np.ndarray):
@@ -487,15 +492,13 @@ def read_labels(path) -> LabeledDataset:
             if not line:
                 continue
             cols = line.split(",")
-            # 6N+4 features + decision + N alloc entries + cost  =>  7N+6 columns
+            # feature_count(N) features + decision + N alloc entries + cost
             if n_vehicles is None:
-                if (len(cols) - 6) % 7:
-                    raise FileFormatError(f"{path}:{lineno}: bad column count {len(cols)}")
-                n_vehicles = (len(cols) - 6) // 7
-            if len(cols) != 7 * n_vehicles + 6:
+                n_vehicles = (len(cols) - N_GLOBAL_FEATURES - 2) // (PER_VEHICLE_FEATURES + 1)
+                k = feature_count(n_vehicles)
+            if len(cols) != k + n_vehicles + 2:
                 raise FileFormatError(f"{path}:{lineno}: bad column count {len(cols)}")
             try:
-                k = 6 * n_vehicles + 4
                 feats.append([float(x) for x in cols[:k]])
                 decs.append(int(cols[k]))
                 allocs.append([float(x) for x in cols[k + 1 : k + 1 + n_vehicles]])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from edgeoffload import experiments
 from edgeoffload.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -9,6 +10,7 @@ from edgeoffload.cli import (
     EXIT_VALIDATION,
     main,
 )
+from edgeoffload.errors import ValidationError
 
 
 def _run(*argv):
@@ -128,16 +130,77 @@ def test_experiment_bad_config_key(tmp_path):
                 "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
 
-def test_experiment_stage_failure_cleans_outputs(tmp_path):
-    # an unreachable split config: zero-cost penalty flips no stage, but an
-    # invalid eta_step hits the sweep stage through the config path
+# a quick run of each kind
+_SMALL = {
+    "fig5a-training-fraction": {"experiment.samples": "50", "experiment.test_samples": "20",
+                                "experiment.fractions": "1.0", "train.epochs": "1"},
+    "fig5b-n-avs": {"experiment.samples": "50", "experiment.test_samples": "20",
+                    "experiment.n_list": "2", "train.epochs": "1"},
+    "fig6-eta": {},
+}
+
+
+def _config_text(kv):
+    return "".join(f"{key} = {value}\n" for key, value in kv.items())
+
+
+def test_experiment_stage_failure_cleans_outputs(tmp_path, monkeypatch):
+    def failing_train(ds, cfg):
+        raise ValidationError("diverged")
+
+    monkeypatch.setattr(experiments, "train", failing_train)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("split.miss_penalty = -1\n")
+    cfg.write_text(_config_text(_SMALL["fig5a-training-fraction"]))
     out = tmp_path / "o"
-    rc = _run("experiment", "--kind", "fig6-eta", "--config", str(cfg), "--out", str(out))
-    assert rc != EXIT_OK
-    assert not (out / "fig6.csv").exists()
+    rc = _run("experiment", "--kind", "fig5a-training-fraction", "--config", str(cfg),
+              "--out", str(out))
+    assert rc == EXIT_VALIDATION
+    assert not list(out.glob("*.csv"))
     assert not (out / "manifest.json").exists()
+
+
+# each kind rejects the keys it does not read, and every experiment value is
+# checked, before any stage runs
+@pytest.mark.parametrize("kind, key, value", [
+    ("fig6-eta", "offload.n_vehicles", "2"),
+    ("fig6-eta", "train.epochs", "5"),
+    ("fig6-eta", "experiment.samples", "10"),
+    ("fig5a-training-fraction", "split.miss_penalty", "3.5"),
+    ("fig5a-training-fraction", "train.train_fraction", "0.5"),
+    ("fig5a-training-fraction", "train.seed", "3"),
+    ("fig5a-training-fraction", "experiment.n_list", "2"),
+    ("fig5a-training-fraction", "experiment.sbb_max_nodes", "8"),
+    ("fig5b-n-avs", "split.miss_penalty", "3.5"),
+    ("fig5b-n-avs", "train.chi_c", "0.5"),
+    ("fig5b-n-avs", "train.chi_r", "0.5"),
+    ("fig5b-n-avs", "train.chi_l", "0.5"),
+    ("fig5b-n-avs", "train.hidden_sizes", "8,8"),
+    ("fig5b-n-avs", "train.seed", "3"),
+    ("fig5b-n-avs", "offload.n_vehicles", "3"),
+    ("fig5b-n-avs", "experiment.fractions", "0.5"),
+    ("fig5a-training-fraction", "experiment.samples", "abc"),
+    ("fig5a-training-fraction", "offload.n_vehicles", "17"),
+    ("fig5a-training-fraction", "experiment.fractions", "0.5,x"),
+    ("fig5b-n-avs", "experiment.n_list", "2.7"),
+    ("fig5b-n-avs", "experiment.n_list", "2,17"),
+])
+def test_experiment_config_error_leaves_no_output(tmp_path, kind, key, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_config_text({**_SMALL[kind], key: value}))
+    out = tmp_path / "run"
+    assert _run("experiment", "--kind", kind, "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_split_plan_config_overlays_like_fig6(tmp_path):
+    split_cfg, exp_cfg = tmp_path / "split.cfg", tmp_path / "exp.cfg"
+    split_cfg.write_text("miss_penalty = 3.5\n")
+    exp_cfg.write_text("split.miss_penalty = 3.5\n")
+    sweep, run = tmp_path / "sweep.csv", tmp_path / "run"
+    assert _run("split-plan", "--config", str(split_cfg), "--out", str(sweep)) == EXIT_OK
+    assert _run("experiment", "--kind", "fig6-eta", "--config", str(exp_cfg),
+                "--out", str(run)) == EXIT_OK
+    assert sweep.read_bytes() == (run / "fig6.csv").read_bytes()
 
 
 # positional arguments and required options of each command

@@ -31,8 +31,7 @@ def test_read_kv_file_missing(tmp_path):
 
 
 def test_shipped_defaults_parse():
-    for name in ("offload", "train", "split"):
-        assert parse_kv_text(default_config_text(name))
+    assert parse_kv_text(default_config_text("split"))
     with pytest.raises(ConfigError):
         default_config_text("bogus")
 
@@ -91,3 +90,16 @@ def test_split_scenario_rejects_bad_eta_step():
     kv["eta_step"] = "0"
     with pytest.raises(ConfigError):
         split_scenario(kv)
+
+
+def test_split_scenario_overlays_the_shipped_scenario():
+    sc, _ = split_scenario({"miss_penalty": "3.5"})
+    assert sc.acc.miss_penalty == 3.5
+    assert sc.profile.n_layers == 6
+    sc, _ = split_scenario({"n_layers": "2", "split_index": "1"})
+    assert sc.profile.n_layers == 2
+    # layer keys go up to n_layers only
+    with pytest.raises(ConfigError, match="layer3"):
+        split_scenario({"n_layers": "2", "split_index": "1", "layer3.cycles": "1e6"})
+    with pytest.raises(ConfigError, match="layerfoo"):
+        split_scenario({"layerfoo": "1"})

@@ -5,10 +5,12 @@ import platform
 import numpy as np
 import pytest
 
-from edgeoffload.errors import ConfigError
+from edgeoffload import experiments
+from edgeoffload.errors import ConfigError, InvalidParameterError, ValidationError
 from edgeoffload.experiments import (
     ExperimentSpec,
     RunManifest,
+    resolve_config,
     run_experiment,
     sha256_file,
 )
@@ -55,12 +57,29 @@ def test_manifest_digests_match_files(tmp_path):
     assert set(manifest.digests) == {"fig6.csv", "fig6.gp"}
 
 
-def test_stage_failure_removes_partial_outputs(tmp_path):
-    cfg = "split.miss_penalty = -1\n"  # invalid accuracy model -> sweep stage fails
-    with pytest.raises(Exception) as excinfo:
-        run_experiment(
-            ExperimentSpec(kind="fig6-eta", out_dir=tmp_path, seed=0, config_text=cfg)
-        )
-    assert "stage" in str(excinfo.value)
+def test_stage_failure_removes_partial_outputs(tmp_path, monkeypatch):
+    def failing_train(ds, cfg):
+        raise ValidationError("diverged")
+
+    monkeypatch.setattr(experiments, "train", failing_train)
+    cfg = "experiment.samples = 50\nexperiment.test_samples = 20\nexperiment.fractions = 1.0\n"
+    with pytest.raises(ValidationError) as excinfo:
+        run_experiment(ExperimentSpec(kind="fig5a-training-fraction", out_dir=tmp_path,
+                                      seed=0, config_text=cfg))
+    assert "stage 'train@1.0'" in str(excinfo.value)
     assert not list(tmp_path.glob("*.csv"))
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_invalid_value_fails_before_any_stage(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(InvalidParameterError, match="miss_penalty"):
+        run_experiment(ExperimentSpec(kind="fig6-eta", out_dir=out, seed=0,
+                                      config_text="split.miss_penalty = -1\n"))
+    assert not out.exists()
+
+
+def test_fig5a_reads_the_chi_l_alias(tmp_path):
+    job = resolve_config(ExperimentSpec(kind="fig5a-training-fraction", out_dir=tmp_path,
+                                        config_text="train.chi_l = 0.5\n"))
+    assert [cfg.chi_r for _, cfg in job["runs"]] == [0.5] * 10

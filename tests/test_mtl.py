@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from edgeoffload.errors import ConfigError, FileFormatError
 from edgeoffload.model import (
     OffloadSolution,
     batch_features,
+    feature_count,
     generate_instances,
     raw_features,
     total_cost,
@@ -14,7 +17,6 @@ from edgeoffload.mtl import (
     MtlModel,
     TrainConfig,
     evaluate,
-    feature_count,
     forward,
     infer_solution,
     load_model_bytes,
@@ -224,6 +226,24 @@ def test_evaluate_against_oracle(trained, small_ds):
     assert 0.0 <= metrics.class_accuracy <= 1.0
     assert metrics.reg_mse >= 0.0
     assert metrics.mean_inference_time > 0.0
+
+
+def test_evaluate_times_the_median_repeat(trained, small_ds, monkeypatch):
+    """One stalled repeat does not move the reported decision time."""
+    model, _ = trained
+    clock = {"now": 0.0, "calls": 0}
+    original = mtl._decide
+
+    def decide_on_fake_clock(*args):
+        clock["calls"] += 1
+        clock["now"] += 1000.0 if clock["calls"] == 3 else 1.0  # call 1 is untimed
+        return original(*args)
+
+    monkeypatch.setattr(mtl, "_decide", decide_on_fake_clock)
+    monkeypatch.setattr(mtl, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+    metrics = evaluate(model, small_ds, min_timed_passes=2 * small_ds.n_samples)
+    assert clock["calls"] == 1 + mtl.TIMED_REPEATS * 2
+    assert metrics.mean_inference_time == 2.0 / (2 * small_ds.n_samples)
 
 
 def test_solver_metrics_perfect_for_oracle(small_ds):
