@@ -74,7 +74,8 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     ds = read_labels(args.labels)
-    cfg = train_config(_read_cfg(args), seed=args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}  # the flag wins over the config
+    cfg = train_config(_read_cfg(args), **seed)
     model, log = train(ds, cfg)
     save_model(args.out, model)
     if args.log is not None:
@@ -179,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the MTL model on a labeled dataset")
     p.add_argument("labels", type=Path)
     p.add_argument("--config", type=Path, help="train config file (key = value)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="training seed; overrides the config's seed (default: config, else 0)")
     p.add_argument("--out", type=Path, required=True, help="model file to write")
     p.add_argument("--log", type=Path, default=None, help="training-log CSV path")
     p.set_defaults(fn=cmd_train)

@@ -112,12 +112,17 @@ def offload_config(kv: dict[str, str] | None = None) -> tuple[int, dict[str, tup
     _check_keys(kv, OFFLOAD_KEYS, "offload")
     n_vehicles = as_int(kv, "n_vehicles") if "n_vehicles" in kv else 2
     ranges = dict(DEFAULT_RANGES)
-    for name in ranges:
-        if f"{name}.min" in kv or f"{name}.max" in kv:
-            ranges[name] = (as_float(kv, f"{name}.min"), as_float(kv, f"{name}.max"))
-        elif name in kv:
+    for name, (lo, hi) in DEFAULT_RANGES.items():
+        lo_key, hi_key = f"{name}.min", f"{name}.max"
+        bounds = lo_key in kv or hi_key in kv
+        if name in kv:
+            if bounds:
+                raise ConfigError(f"give {name!r} or its bounds {lo_key!r}/{hi_key!r}, not both")
             v = as_float(kv, name)
             ranges[name] = (v, v)
+        elif bounds:  # a bound not given keeps its default
+            ranges[name] = (as_float(kv, lo_key) if lo_key in kv else lo,
+                            as_float(kv, hi_key) if hi_key in kv else hi)
     validate_ranges(ranges)
     return n_vehicles, ranges
 

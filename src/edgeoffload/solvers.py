@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,11 +300,21 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
     optimistic full-budget share; each free vehicle pays its best unilateral
     outcome min(local, offload at alpha=1). Admissible because real shares
     never exceed 1 and offload cost is decreasing in the share.  Incumbents
-    come from greedy completion (free vehicles pick the cheaper of local vs.
-    an equal 1/N share) re-costed with the closed-form allocation.  It
-    branches on the free vehicle whose local and full-share offload costs are
-    closest, and the incumbent is proven optimal once the lowest open bound
-    reaches its cost.
+    come from greedy completion re-costed with the closed-form allocation:
+    each free vehicle offloads when its cost at an equal 1/N share is below
+    its local cost.  Those vehicles are the bits of ``share_bits``, so the
+    completion of a node is ``dec | (share_bits & ~fixed)``.  It branches on
+    the free vehicle whose local and full-share offload costs are closest
+    (ties to the lower index); that order is fixed per instance, so a node at
+    depth d has fixed exactly the first d vehicles of it.  The incumbent is
+    proven optimal once the lowest open bound reaches its cost.
+
+    Of a node's two children, the one that fixes the branching vehicle the
+    way greedy completion would (``take == share_bits & bit``) has its
+    parent's completion, which was priced when the parent was pushed (or as
+    the root incumbent); pricing a mask again cannot change the incumbent,
+    so only the other child is priced.  For the same reason a leaf, whose
+    completion is its own mask, needs no pricing when it is popped.
     """
     cfg = cfg or SbbConfig()
     t0 = time.perf_counter()
@@ -315,18 +324,17 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
     off_full = off_base + wt_over_f * cycles  # offload cost at alpha = 1
     off_share = off_base + wt_over_f * cycles * n  # offload cost at alpha = 1/N
     per_best = np.minimum(local, off_full)
-    ambiguity = np.abs(local - off_full)
-
-    def greedy_mask(fixed_mask: int, dec_mask: int) -> int:
-        mask = dec_mask
-        for i in range(n):
-            bit = 1 << (n - 1 - i)
-            if not fixed_mask & bit and off_share[i] < local[i]:
-                mask |= bit
-        return mask
-
+    root_lb = float(per_best.sum())  # numpy's sum: pairwise from 8 terms on
+    ambiguity = np.abs(local - off_full).tolist()
+    share_bits = decisions_to_mask((off_share < local).tolist())
+    order = sorted(range(n), key=lambda i: (ambiguity[i], i))  # branching order
+    bits = [1 << (n - 1 - i) for i in order]
+    fixed = [0]  # fixed[d]: the vehicles a node at depth d has fixed
+    for bit in bits:
+        fixed.append(fixed[-1] | bit)
     mask_cost = kernels.mask_cost(local, off_base, sqrt_c, wt_over_f)
-    inc_mask = greedy_mask(0, 0)
+    local, off_full, per_best = local.tolist(), off_full.tolist(), per_best.tolist()
+    inc_mask = share_bits
     inc_cost = mask_cost(inc_mask)
 
     def consider(mask: int) -> None:
@@ -335,13 +343,13 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
         if cost < inc_cost or (cost == inc_cost and mask < inc_mask):
             inc_cost, inc_mask = cost, mask
 
-    # heap entries: (lower bound, insertion order, fixed_mask, dec_mask)
-    heap = [(float(per_best.sum()), 0, 0, 0)]
+    # heap entries: (lower bound, insertion order, depth, dec_mask)
+    heap = [(root_lb, 0, 0, 0)]
     pushes = 1
     nodes = 0
     proven = False
     while heap:
-        lb, _, fixed_mask, dec_mask = heapq.heappop(heap)
+        lb, _, depth, dec_mask = heapq.heappop(heap)
         if nodes >= cfg.max_nodes:
             proven = lb >= inc_cost
             break
@@ -349,21 +357,20 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
         if lb >= inc_cost:
             proven = True
             break
-        free = [i for i in range(n) if not (fixed_mask >> (n - 1 - i)) & 1]
-        if not free:
-            consider(dec_mask)
-            continue
-        var = min(free, key=lambda i: (ambiguity[i], i))
-        bit = 1 << (n - 1 - var)
+        if depth == n:
+            continue  # a leaf's mask was priced when the leaf was pushed
+        var, bit = order[depth], bits[depth]
+        greedy_take = share_bits & bit
+        child_free = ~fixed[depth + 1]
+        base = lb - per_best[var]
         for take in (0, bit):
-            child_fixed = fixed_mask | bit
             child_dec = dec_mask | take
-            side = off_full[var] if take else local[var]
-            child_lb = lb - per_best[var] + side
-            consider(greedy_mask(child_fixed, child_dec))
+            if take != greedy_take:
+                consider(child_dec | (share_bits & child_free))
+            child_lb = base + (off_full[var] if take else local[var])
             if child_lb <= inc_cost:
                 pushes += 1
-                heapq.heappush(heap, (child_lb, pushes, child_fixed, child_dec))
+                heapq.heappush(heap, (child_lb, pushes, depth + 1, child_dec))
     else:
         proven = True  # heap exhausted: every open node was pruned or expanded
     if proven:
@@ -452,6 +459,10 @@ def label_instances(
     kw = dict(solver_kwargs or {})
     features = batch_features(instances)
     if workers > 1 and len(instances) > 1:
+        # imported here: the pool's modules add about 2 MB to every process
+        # that imports the package, and only this branch uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = np.array_split(np.arange(len(instances)), workers)
         jobs = [
             ([instances[i] for i in idx], features[idx], solver, kw) for idx in chunks if len(idx)

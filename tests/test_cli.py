@@ -68,9 +68,12 @@ def test_split_plan_defaults(capsys):
 
 def test_exit_code_config_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense_key = 1\n")
-    assert _run("generate", "--config", str(cfg), "--count", "1",
-                "--out", str(tmp_path / "x.txt")) == EXIT_CONFIG
+    # an unknown key; a bare range key next to its bounds
+    for text in ("nonsense_key = 1\n", "tx_power = 5\ntx_power.min = 1\ntx_power.max = 10\n"):
+        cfg.write_text(text)
+        assert _run("generate", "--config", str(cfg), "--count", "1",
+                    "--out", str(tmp_path / "x.txt")) == EXIT_CONFIG
+        assert not (tmp_path / "x.txt").exists()
 
 
 def test_exit_code_io_error(tmp_path):
@@ -102,6 +105,28 @@ def test_negative_seed_exit_codes(tmp_path):
     assert _run("label", str(inst), "--out", str(labels)) == EXIT_OK
     assert _run("train", str(labels), "--seed", "-1", "--out", str(model)) == EXIT_CONFIG
     assert not model.exists()
+
+
+def test_train_seed_flag_wins_over_the_config_seed(tmp_path):
+    inst, labels = tmp_path / "inst.txt", tmp_path / "labels.csv"
+    assert _run("generate", "--count", "40", "--seed", "3", "--out", str(inst)) == EXIT_OK
+    assert _run("label", str(inst), "--out", str(labels)) == EXIT_OK
+    plain, seeded = tmp_path / "plain.cfg", tmp_path / "seeded.cfg"
+    plain.write_text("epochs = 3\n")
+    seeded.write_text("epochs = 3\nseed = 5\n")
+
+    def model_bytes(name, *args):
+        out = tmp_path / f"{name}.bin"
+        assert _run("train", str(labels), "--out", str(out), *args) == EXIT_OK
+        return out.read_bytes()
+
+    config_5 = model_bytes("config5", "--config", str(seeded))
+    assert model_bytes("flag5", "--config", str(plain), "--seed", "5") == config_5
+    assert model_bytes("flag6", "--config", str(seeded), "--seed", "6") == model_bytes(
+        "flag6only", "--config", str(plain), "--seed", "6") != config_5
+    # no seed anywhere trains with TrainConfig's seed 0, as before
+    assert model_bytes("unseeded", "--config", str(plain)) == model_bytes(
+        "flag0", "--config", str(plain), "--seed", "0") != config_5
 
 
 def test_experiment_fig6_and_replay(tmp_path, capsys):

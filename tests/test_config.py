@@ -9,6 +9,7 @@ from edgeoffload.config import (
     train_config,
 )
 from edgeoffload.errors import ConfigError
+from edgeoffload.model import DEFAULT_RANGES
 
 
 def test_parse_kv_basics():
@@ -44,6 +45,22 @@ def test_offload_config_defaults_and_overrides():
     assert ranges["tx_power"] == (7.0, 7.0)
     _, ranges = offload_config({"gain.min": "1e-6", "gain.max": "1e-5"})
     assert ranges["gain"] == (1e-6, 1e-5)
+
+
+def test_offload_config_rejects_a_bare_key_next_to_its_bounds():
+    with pytest.raises(ConfigError, match="tx_power"):
+        offload_config({"tx_power": "5", "tx_power.min": "1", "tx_power.max": "10"})
+    with pytest.raises(ConfigError, match="tx_power"):
+        offload_config({"tx_power": "5", "tx_power.max": "10"})
+
+
+def test_offload_config_fills_a_missing_bound_from_the_defaults():
+    _, ranges = offload_config({"gain.min": "1e-6"})
+    assert ranges["gain"] == (1e-6, DEFAULT_RANGES["gain"][1])
+    _, ranges = offload_config({"local_freq.max": "2e9"})
+    assert ranges["local_freq"] == (DEFAULT_RANGES["local_freq"][0], 2e9)
+    with pytest.raises(ConfigError, match="gain"):  # inverted against the default max
+        offload_config({"gain.min": "1e-3"})
 
 
 def test_offload_config_rejects_unknown_key():

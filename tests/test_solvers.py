@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from edgeoffload.model import (
 from edgeoffload.solvers import (
     _batch_arrays,
     _instance_arrays,
+    _report_for_mask,
     LabeledDataset,
     SbbConfig,
     batch_solve_exhaustive,
@@ -281,3 +283,95 @@ def test_exact_sbb_ties_match_exhaustive_for_identical_vehicles(cpu_cycles, edge
         bb = solve_sbb(inst)
         assert bb.proven_optimal
         assert bb.solution.decisions == ex.solution.decisions, n
+
+
+def _solve_sbb_reference(inst, cfg):
+    """Reference: the node loop that ``solve_sbb`` used to run, on numpy
+    scalars, with an n-step greedy completion and both children priced."""
+    n = inst.n_vehicles
+    local, off_base, sqrt_c, wt_over_f = _instance_arrays(inst)
+    cycles = sqrt_c**2
+    off_full = off_base + wt_over_f * cycles
+    off_share = off_base + wt_over_f * cycles * n
+    per_best = np.minimum(local, off_full)
+    ambiguity = np.abs(local - off_full)
+
+    def greedy_mask(fixed_mask, dec_mask):
+        mask = dec_mask
+        for i in range(n):
+            bit = 1 << (n - 1 - i)
+            if not fixed_mask & bit and off_share[i] < local[i]:
+                mask |= bit
+        return mask
+
+    mask_cost = kernels.mask_cost(local, off_base, sqrt_c, wt_over_f)
+    inc_mask = greedy_mask(0, 0)
+    inc_cost = mask_cost(inc_mask)
+
+    def consider(mask):
+        nonlocal inc_mask, inc_cost
+        cost = mask_cost(mask)
+        if cost < inc_cost or (cost == inc_cost and mask < inc_mask):
+            inc_cost, inc_mask = cost, mask
+
+    heap = [(float(per_best.sum()), 0, 0, 0)]
+    pushes = 1
+    nodes = 0
+    proven = False
+    while heap:
+        lb, _, fixed_mask, dec_mask = heapq.heappop(heap)
+        if nodes >= cfg.max_nodes:
+            proven = lb >= inc_cost
+            break
+        nodes += 1
+        if lb >= inc_cost:
+            proven = True
+            break
+        free = [i for i in range(n) if not (fixed_mask >> (n - 1 - i)) & 1]
+        if not free:
+            consider(dec_mask)
+            continue
+        var = min(free, key=lambda i: (ambiguity[i], i))
+        bit = 1 << (n - 1 - var)
+        for take in (0, bit):
+            child_fixed = fixed_mask | bit
+            child_dec = dec_mask | take
+            side = off_full[var] if take else local[var]
+            child_lb = lb - per_best[var] + side
+            consider(greedy_mask(child_fixed, child_dec))
+            if child_lb <= inc_cost:
+                pushes += 1
+                heapq.heappush(heap, (child_lb, pushes, child_fixed, child_dec))
+    else:
+        proven = True
+    if proven:
+        for mask in (0, *(1 << i for i in range(n))):
+            consider(mask)
+    return _report_for_mask(inst, inc_mask, nodes=nodes, proven=proven, t0=0.0)
+
+
+def _sbb_outcome(rep):
+    sol = rep.solution
+    return sol.decisions, sol.alloc, sol.cost.hex(), rep.nodes_explored, rep.proven_optimal
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), 12, 14, 16])
+def test_sbb_matches_reference_node_loop(n):
+    budgets = [1, 2, 16] + ([SbbConfig().max_nodes] if n <= 10 else [])
+    for k, ranges in enumerate((DEFAULT_RANGES, DRAWN_GLOBALS, FEW_OFFLOADERS, MANY_OFFLOADERS)):
+        for inst in generate_instances(n, 16, ranges, seed=200 * n + k):
+            for max_nodes in budgets:
+                cfg = SbbConfig(max_nodes=max_nodes)
+                assert _sbb_outcome(solve_sbb(inst, cfg)) == _sbb_outcome(
+                    _solve_sbb_reference(inst, cfg)), (k, max_nodes)
+
+
+def test_sbb_matches_reference_node_loop_on_ties():
+    for edge_freq in (1e9, 2e9, 3e9, 5e9, 1e10, 3e10):
+        for cpu_cycles in (1e9, 2e9):
+            for n in range(2, 11):
+                inst = _identical_vehicles(n, edge_freq, cpu_cycles)
+                for max_nodes in (1, 2, 16, SbbConfig().max_nodes):
+                    cfg = SbbConfig(max_nodes=max_nodes)
+                    assert _sbb_outcome(solve_sbb(inst, cfg)) == _sbb_outcome(
+                        _solve_sbb_reference(inst, cfg)), (edge_freq, cpu_cycles, n)
