@@ -8,7 +8,7 @@ backpropagation in float64; models serialize as float32 to stay under the
 """
 from __future__ import annotations
 
-import io
+import math
 import statistics
 import struct
 import time
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FileFormatError, ShapeError, ValidationError
-from .model import OffloadInstance, OffloadSolution, feature_count, raw_features, total_cost
+from .model import (MAX_VEHICLES, OffloadInstance, OffloadSolution, feature_count,
+                    raw_features, total_cost)
 from .solvers import LabeledDataset, decisions_to_mask, mask_to_decisions, optimal_allocation
 
 MODEL_FILE_HEADER = b"mtl-model v1\n"
@@ -25,17 +26,29 @@ DEFAULT_HIDDEN = (12, 12)  # largest symmetric pair keeping the N=2 file <= 2048
 TIMED_REPEATS = 5  # evaluate() reports the median of this many timed repeats
 
 
+def _param_shapes(n_vehicles: int, hidden_sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Shape of every parameter tensor, in ``MtlModel.params()`` order:
+    (W, b) per trunk layer, then the class head and the regression head."""
+    sizes = [feature_count(n_vehicles), *hidden_sizes]
+    trunk = [s for d_in, d_out in zip(sizes, sizes[1:]) for s in ((d_in, d_out), (d_out,))]
+    h, n_classes = sizes[-1], 1 << n_vehicles
+    return [*trunk, (h, n_classes), (n_classes,), (h, n_vehicles), (n_vehicles,)]
+
+
 @dataclass
 class MtlModel:
-    """Trained weights plus the frozen normalization statistics."""
+    """Trained weights plus the frozen normalization statistics.
+
+    ``weights`` is the model: every parameter in one flat float64 array, in
+    ``params()`` order.  ``trunk`` (a (W, b) pair per dense layer),
+    ``class_head`` and ``reg_head`` are views of it, bound at construction.
+    """
 
     n_vehicles: int
     hidden_sizes: tuple[int, ...]
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    trunk: list[tuple[np.ndarray, np.ndarray]]  # (W, b) per dense layer
-    class_head: tuple[np.ndarray, np.ndarray]
-    reg_head: tuple[np.ndarray, np.ndarray]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
         d = feature_count(self.n_vehicles)
@@ -43,10 +56,13 @@ class MtlModel:
             raise ShapeError("normalization stats do not match the feature count")
         if np.any(self.feature_std <= 0.0):
             raise ValidationError("feature_std entries must be > 0")
-
-    @property
-    def n_classes(self) -> int:
-        return 1 << self.n_vehicles
+        shapes = _param_shapes(self.n_vehicles, self.hidden_sizes)
+        bounds = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        if self.weights.shape != (bounds[-1],):
+            raise ShapeError(f"expected {bounds[-1]} weights, got shape {self.weights.shape}")
+        views = iter(self.weights[a:b].reshape(s) for s, a, b in zip(shapes, bounds, bounds[1:]))
+        pairs = list(zip(views, views))  # (W, b) per layer
+        self.trunk, self.class_head, self.reg_head = pairs[:-2], pairs[-2], pairs[-1]
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -79,6 +95,14 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ConfigError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes!r}")
+        if not (self.learning_rate > 0.0 and self.adam_epsilon > 0.0):
+            raise ConfigError("learning_rate and adam_epsilon must be > 0, got "
+                              f"{self.learning_rate!r} and {self.adam_epsilon!r}")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ConfigError("adam_beta1 and adam_beta2 must be in [0, 1), got "
+                              f"{self.adam_beta1!r} and {self.adam_beta2!r}")
 
 
 @dataclass(frozen=True)
@@ -214,18 +238,6 @@ def loss_and_grads(
     return loss, ce, mse, grads
 
 
-def loss(
-    model: MtlModel,
-    x: np.ndarray,
-    class_idx: np.ndarray,
-    alloc_labels: np.ndarray,
-    chi_c: float,
-    chi_r: float,
-) -> float:
-    value, _, _, _ = loss_and_grads(model, x, class_idx, alloc_labels, chi_c, chi_r)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -237,27 +249,18 @@ def _init_model(
     std: np.ndarray,
     rng: np.random.Generator,
 ) -> MtlModel:
-    sizes = [feature_count(n_vehicles), *hidden_sizes]
-    trunk = []
-    for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-        w = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out))
+    n_weights = sum(math.prod(s) for s in _param_shapes(n_vehicles, hidden_sizes))
+    model = MtlModel(n_vehicles, tuple(hidden_sizes), mean, std, np.zeros(n_weights))
+    for w, b in model.trunk:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
         # small positive bias keeps dead units off the exact ReLU kink
-        trunk.append((w, np.full(d_out, 0.01)))
-    h = sizes[-1]
-    n_classes = 1 << n_vehicles
-    wc = rng.normal(0.0, np.sqrt(1.0 / h), size=(h, n_classes))
-    wr = rng.normal(0.0, np.sqrt(1.0 / h), size=(h, n_vehicles))
+        b[...] = 0.01
+    (wc, _), (wr, br) = model.class_head, model.reg_head
+    wc[...] = rng.normal(0.0, np.sqrt(1.0 / wc.shape[0]), size=wc.shape)
+    wr[...] = rng.normal(0.0, np.sqrt(1.0 / wr.shape[0]), size=wr.shape)
     # positive bias keeps the alloc clamp from starting in the dead region
-    br = np.full(n_vehicles, 0.5 / n_vehicles)
-    return MtlModel(
-        n_vehicles=n_vehicles,
-        hidden_sizes=tuple(hidden_sizes),
-        feature_mean=mean,
-        feature_std=std,
-        trunk=trunk,
-        class_head=(wc, np.zeros(n_classes)),
-        reg_head=(wr, br),
-    )
+    br[...] = 0.5 / n_vehicles
+    return model
 
 
 def split_dataset(
@@ -267,18 +270,6 @@ def split_dataset(
     order = np.random.default_rng(seed).permutation(ds.n_samples)
     n_train = max(1, int(round(train_fraction * ds.n_samples)))
     return order[:n_train], order[n_train:]
-
-
-def _flatten_params(model: MtlModel) -> np.ndarray:
-    """Move every parameter tensor into one flat buffer, in ``model.params()``
-    order; the model keeps views of it."""
-    params = model.params()
-    flat = np.concatenate([p.ravel() for p in params])
-    bounds = np.cumsum([0] + [p.size for p in params]).tolist()
-    views = iter(flat[a:b].reshape(p.shape) for p, a, b in zip(params, bounds, bounds[1:]))
-    pairs = list(zip(views, views))  # (W, b) per layer
-    model.trunk, model.class_head, model.reg_head = pairs[:-2], pairs[-2], pairs[-1]
-    return flat
 
 
 def _adam_step(p, g, m, v, work, lr_t, cfg: TrainConfig) -> None:
@@ -321,11 +312,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
 
     rng = np.random.default_rng(cfg.seed + 1)
     model = _init_model(n, tuple(cfg.hidden_sizes), mean, std, rng)
-    params = _flatten_params(model)
-    grad = np.empty_like(params)
-    m_state = np.zeros_like(params)
-    v_state = np.zeros_like(params)
-    work = np.empty_like(params)
+    grad, m_state, v_state, work = (np.zeros_like(model.weights) for _ in range(4))
     t = 0
     log: list[dict] = []
     n_train = x.shape[0]
@@ -348,7 +335,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
                 np.sqrt(1.0 - cfg.adam_beta2**t) / (1.0 - cfg.adam_beta1**t)
             )
             np.concatenate([g.ravel() for g in grads], out=grad)
-            _adam_step(params, grad, m_state, v_state, work, lr_t, cfg)
+            _adam_step(model.weights, grad, m_state, v_state, work, lr_t, cfg)
             tot += value
             ce_sum += ce
             mse_sum += mse
@@ -459,24 +446,13 @@ def solver_metrics(reports, ds: LabeledDataset) -> EvalMetrics:
 # model file I/O (byte-exact round trip)
 # ---------------------------------------------------------------------------
 
-def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
-    buf.write(np.ascontiguousarray(arr, dtype=np.float32).tobytes())
-
-
 def save_model_bytes(model: MtlModel) -> bytes:
-    buf = io.BytesIO()
-    buf.write(MODEL_FILE_HEADER)
-    buf.write(struct.pack("<II", model.n_vehicles, len(model.hidden_sizes)))
-    buf.write(struct.pack(f"<{len(model.hidden_sizes)}I", *model.hidden_sizes))
-    _write_array(buf, model.feature_mean)
-    _write_array(buf, model.feature_std)
-    for w, b in model.trunk:
-        _write_array(buf, w)
-        _write_array(buf, b)
-    for w, b in (model.class_head, model.reg_head):
-        _write_array(buf, w)
-        _write_array(buf, b)
-    return buf.getvalue()
+    """The header, ``<II`` N and layer count, the layer widths, then float32
+    mean, std and weights."""
+    hidden = model.hidden_sizes
+    sizes = struct.pack(f"<II{len(hidden)}I", model.n_vehicles, len(hidden), *hidden)
+    body = np.concatenate([model.feature_mean, model.feature_std, model.weights])
+    return MODEL_FILE_HEADER + sizes + body.astype("<f4").tobytes()
 
 
 def load_model_bytes(data: bytes) -> MtlModel:
@@ -494,33 +470,15 @@ def load_model_bytes(data: bytes) -> MtlModel:
 
     n, n_hidden = struct.unpack("<II", take(8))
     hidden = struct.unpack(f"<{n_hidden}I", take(4 * n_hidden))
-
-    def read_array(shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(take(4 * count), dtype=np.float32)
-        return arr.astype(np.float64).reshape(shape)
-
+    # checked before the layout is built: it holds 2^N-wide tensors
+    if not 1 <= n <= MAX_VEHICLES or 0 in hidden:
+        raise FileFormatError(f"model file sizes out of range: N={n}, layer widths {hidden}")
     d = feature_count(n)
-    mean = read_array((d,))
-    std = read_array((d,))
-    sizes = [d, *hidden]
-    trunk = []
-    for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-        trunk.append((read_array((d_in, d_out)), read_array((d_out,))))
-    h = sizes[-1]
-    class_head = (read_array((h, 1 << n)), read_array(((1 << n),)))
-    reg_head = (read_array((h, n)), read_array((n,)))
+    n_weights = sum(math.prod(s) for s in _param_shapes(n, hidden))
+    body = np.frombuffer(take(4 * (2 * d + n_weights)), dtype="<f4").astype(np.float64)
     if off != len(data):
         raise FileFormatError("trailing bytes in model file")
-    return MtlModel(
-        n_vehicles=n,
-        hidden_sizes=tuple(int(s) for s in hidden),
-        feature_mean=mean,
-        feature_std=std,
-        trunk=trunk,
-        class_head=class_head,
-        reg_head=reg_head,
-    )
+    return MtlModel(n, hidden, body[:d], body[d : 2 * d], body[2 * d :])
 
 
 def save_model(path, model: MtlModel) -> None:

@@ -15,7 +15,6 @@ from edgeoffload.mtl import (
     TrainConfig,
     evaluate,
     infer_solution,
-    loss,
     loss_and_grads,
     normalize,
     save_model_bytes,
@@ -124,9 +123,9 @@ def test_criterion_3_gradient_check():
             for j in range(flat_p.size):
                 orig = flat_p[j]
                 flat_p[j] = orig + eps
-                hi = loss(model, x, ci, al, 1.0, 1.0)
+                hi = loss_and_grads(model, x, ci, al, 1.0, 1.0)[0]
                 flat_p[j] = orig - eps
-                lo = loss(model, x, ci, al, 1.0, 1.0)
+                lo = loss_and_grads(model, x, ci, al, 1.0, 1.0)[0]
                 flat_p[j] = orig
                 fd = (hi - lo) / (2 * eps)
                 denom = max(abs(fd), abs(flat_g[j]), 1e-8)

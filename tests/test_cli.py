@@ -89,6 +89,32 @@ def test_exit_code_bad_file_format(tmp_path):
     assert _run("label", str(bad), "--out", str(tmp_path / "y.csv")) == EXIT_IO
 
 
+def test_eval_of_a_truncated_model_is_an_io_error(tmp_path):
+    inst, labels, model = tmp_path / "inst.txt", tmp_path / "labels.csv", tmp_path / "m.bin"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\n")
+    assert _run("generate", "--count", "5", "--out", str(inst)) == EXIT_OK
+    assert _run("label", str(inst), "--out", str(labels)) == EXIT_OK
+    assert _run("train", str(labels), "--config", str(cfg), "--out", str(model)) == EXIT_OK
+    assert _run("eval", str(model), str(labels)) == EXIT_OK
+    model.write_bytes(model.read_bytes()[:-1])
+    assert _run("eval", str(model), str(labels)) == EXIT_IO
+
+
+@pytest.mark.parametrize("line", [
+    "hidden_sizes = -3", "hidden_sizes = 0", "hidden_sizes = 8,0", "learning_rate = -1",
+    "learning_rate = 0", "adam_beta1 = 1", "adam_beta2 = -0.5", "adam_epsilon = 0",
+])
+def test_train_rejects_hyperparameters_that_cannot_train(tmp_path, line):
+    inst, labels, model = tmp_path / "inst.txt", tmp_path / "labels.csv", tmp_path / "m.bin"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"epochs = 1\n{line}\n")
+    assert _run("generate", "--count", "5", "--out", str(inst)) == EXIT_OK
+    assert _run("label", str(inst), "--out", str(labels)) == EXIT_OK
+    assert _run("train", str(labels), "--config", str(cfg), "--out", str(model)) == EXIT_CONFIG
+    assert not model.exists()
+
+
 def test_label_of_empty_instance_file_is_a_validation_error(tmp_path):
     inst = tmp_path / "inst.txt"
     labels = tmp_path / "labels.csv"
@@ -208,6 +234,13 @@ def test_experiment_stage_failure_cleans_outputs(tmp_path, monkeypatch):
     ("fig5a-training-fraction", "experiment.fractions", "0.5,x"),
     ("fig5b-n-avs", "experiment.n_list", "2.7"),
     ("fig5b-n-avs", "experiment.n_list", "2,17"),
+    ("fig5a-training-fraction", "train.hidden_sizes", "0"),
+    ("fig5a-training-fraction", "train.hidden_sizes", "8,-3"),
+    ("fig5a-training-fraction", "train.learning_rate", "-1"),
+    ("fig5b-n-avs", "train.learning_rate", "0"),
+    ("fig5b-n-avs", "train.adam_beta1", "1"),
+    ("fig5a-training-fraction", "train.adam_beta2", "-0.1"),
+    ("fig5b-n-avs", "train.adam_epsilon", "0"),
 ])
 def test_experiment_config_error_leaves_no_output(tmp_path, kind, key, value):
     cfg = tmp_path / "exp.cfg"

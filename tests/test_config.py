@@ -90,6 +90,22 @@ def test_train_config_rejects_negative_seed():
         train_config({}, seed=-1)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("hidden_sizes", "0"), ("hidden_sizes", "-3"), ("hidden_sizes", "8,0"),
+    ("learning_rate", "-1"), ("learning_rate", "0"), ("learning_rate", "nan"),
+    ("adam_beta1", "1"), ("adam_beta1", "-0.1"), ("adam_beta2", "1.5"), ("adam_beta2", "nan"),
+    ("adam_epsilon", "0"), ("adam_epsilon", "-1e-8"),
+])
+def test_train_config_rejects_values_that_cannot_train(key, value):
+    with pytest.raises(ConfigError, match=key):
+        train_config({key: value})
+
+
+def test_train_config_accepts_the_edges_of_its_bounds():
+    cfg = train_config({"hidden_sizes": "1", "adam_beta1": "0", "adam_beta2": "0.9999"})
+    assert (cfg.hidden_sizes, cfg.adam_beta1, cfg.adam_beta2) == ((1,), 0.0, 0.9999)
+
+
 def test_train_config_overrides_win():
     cfg = train_config({"epochs": "100"}, epochs=7)
     assert cfg.epochs == 7

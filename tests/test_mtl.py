@@ -1,9 +1,10 @@
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from edgeoffload.errors import ConfigError, FileFormatError
+from edgeoffload.errors import ConfigError, FileFormatError, ShapeError
 from edgeoffload.model import (
     OffloadSolution,
     batch_features,
@@ -20,7 +21,7 @@ from edgeoffload.mtl import (
     forward,
     infer_solution,
     load_model_bytes,
-    loss,
+    loss_and_grads,
     normalize,
     save_model_bytes,
     solver_metrics,
@@ -276,22 +277,92 @@ def test_model_serialization_roundtrip(trained):
     np.testing.assert_allclose(a1, a2, atol=1e-5)
 
 
+def _golden_model():
+    """An N=1 model with one hidden layer of width 2 and hand-set weights,
+    and its model file packed by hand."""
+    d = feature_count(1)
+    model = mtl._init_model(1, (2,), np.arange(d) / 2.0, np.arange(1, d + 1) / 4.0,
+                            np.random.default_rng(0))
+    tensors = [np.arange(20.0).reshape(d, 2), [0.5, -0.5],  # trunk W (d_in, d_out), b
+               [[1.0, 2.0], [3.0, 4.0]], [-1.0, -2.0],     # class head W (h, 2^N), b
+               [[0.25], [0.75]], [0.125]]                  # regression head W (h, N), b
+    assert [p.shape for p in model.params()] == [(d, 2), (2,), (2, 2), (2,), (2, 1), (1,)]
+    for p, value in zip(model.params(), tensors):
+        p[...] = value
+    blob = (b"mtl-model v1\n"
+            + struct.pack("<II", 1, 1) + struct.pack("<I", 2)
+            + struct.pack("<10f", *[i / 2.0 for i in range(d)])
+            + struct.pack("<10f", *[(i + 1) / 4.0 for i in range(d)])
+            + struct.pack("<20f", *range(20)) + struct.pack("<2f", 0.5, -0.5)
+            + struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, -1.0, -2.0)
+            + struct.pack("<3f", 0.25, 0.75, 0.125))
+    return model, blob
+
+
+def test_model_file_matches_the_hand_packed_layout():
+    """A round trip cannot see a layout change that save and load make together."""
+    model, blob = _golden_model()
+    assert len(blob) == 13 + 8 + 4 * 1 + 4 * (2 * feature_count(1) + 31)
+    assert save_model_bytes(model) == blob
+    back = load_model_bytes(blob)
+    assert (back.n_vehicles, back.hidden_sizes) == (1, (2,))
+    for p, q in zip(back.params(), model.params()):
+        np.testing.assert_array_equal(p, q)
+    assert save_model_bytes(back) == blob
+
+
+def test_model_heads_are_views_of_the_weights():
+    model, _ = _golden_model()
+    model.weights[:] = 0.0
+    assert not any(p.any() for p in model.params())
+    with pytest.raises(ShapeError, match="31 weights"):
+        MtlModel(1, (2,), model.feature_mean, model.feature_std, model.weights[:-1])
+
+
 def test_model_load_rejects_garbage():
     with pytest.raises(FileFormatError):
         load_model_bytes(b"not a model")
 
 
+_GOLDEN = _golden_model()[1]
+_SIZES = len(b"mtl-model v1\n")  # offset of the <II N and layer count
+
+
+@pytest.mark.parametrize("blob", [
+    _GOLDEN[: _SIZES + 5],  # inside the sizes
+    _GOLDEN[: _SIZES + 8 + 2],  # inside the hidden widths
+    _GOLDEN[:_SIZES] + struct.pack("<II", 1, 1000) + _GOLDEN[_SIZES + 8 :],  # widths past the end
+    _GOLDEN[:100],  # inside the mean/std
+    _GOLDEN[:-1],  # inside the weights
+    _GOLDEN + b"\0",  # one trailing byte
+], ids=["sizes", "widths", "layer-count", "stats", "weights", "trailing"])
+def test_model_load_rejects_a_cut_or_padded_file(blob):
+    with pytest.raises(FileFormatError):
+        load_model_bytes(blob)
+
+
+@pytest.mark.parametrize("n, width", [(0, 2), (17, 2), (1 << 31, 2), (1, 0)])
+def test_model_load_rejects_sizes_before_building_the_layout(monkeypatch, n, width):
+    def no_layout(*args):
+        raise AssertionError("layout built for out-of-range sizes")
+
+    monkeypatch.setattr(mtl, "_param_shapes", no_layout)
+    blob = _GOLDEN[:_SIZES] + struct.pack("<III", n, 1, width) + _GOLDEN[_SIZES + 12 :]
+    with pytest.raises(FileFormatError, match="out of range"):
+        load_model_bytes(blob)
+
+
 def test_default_model_under_2kb(trained):
     model, _ = trained
-    assert len(save_model_bytes(model)) <= 2048
+    assert len(save_model_bytes(model)) == 1909 <= 2048  # the README figure
 
 
 def test_loss_decomposition(trained, small_ds):
     model, _ = trained
     x = normalize(small_ds.features[:64], model)
-    ce_only = loss(model, x, small_ds.decision[:64], small_ds.alloc[:64], 1.0, 0.0)
-    mse_only = loss(model, x, small_ds.decision[:64], small_ds.alloc[:64], 0.0, 1.0)
-    both = loss(model, x, small_ds.decision[:64], small_ds.alloc[:64], 1.0, 1.0)
+    ce_only = loss_and_grads(model, x, small_ds.decision[:64], small_ds.alloc[:64], 1.0, 0.0)[0]
+    mse_only = loss_and_grads(model, x, small_ds.decision[:64], small_ds.alloc[:64], 0.0, 1.0)[0]
+    both = loss_and_grads(model, x, small_ds.decision[:64], small_ds.alloc[:64], 1.0, 1.0)[0]
     assert both == pytest.approx(ce_only + mse_only, rel=1e-12)
 
 
