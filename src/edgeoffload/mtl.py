@@ -87,6 +87,9 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN
 
     def __post_init__(self) -> None:
+        for name in ("chi_c", "chi_r", "learning_rate", "adam_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.chi_c < 0 or self.chi_r < 0 or self.chi_c + self.chi_r <= 0:
             raise ConfigError("need chi_c, chi_r >= 0 and chi_c + chi_r > 0")
         if not 0.0 < self.train_fraction <= 1.0:
@@ -129,12 +132,6 @@ def normalize(features: np.ndarray, model: MtlModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward / backward passes
 # ---------------------------------------------------------------------------
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
 
 def _project_alloc(y: np.ndarray) -> np.ndarray:
     """Clamp to >= 0, renormalize rows whose sum exceeds 1."""
@@ -180,48 +177,54 @@ def loss_and_grads(
     """Weighted-sum loss and gradients w.r.t. every parameter tensor.
 
     Returns (loss, ce_term, mse_term, grads) with grads ordered like
-    ``model.params()``.
+    ``model.params()``.  With ``chi_c == 0`` the cross-entropy is still
+    computed for the log, but the class head's backward pass is skipped:
+    its gradients are exact zero arrays and it adds nothing to the trunk's.
     """
     batch = x.shape[0]
     if batch == 0:
         raise ValidationError("empty batch")
     acts: list[np.ndarray] = []
     logits, y, alloc = forward(model, x, acts=acts)
-    probs = _softmax(logits)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    esum = e.sum(axis=1, keepdims=True)
     h = acts[-1]
 
     rows = np.arange(batch)
-    p_true = np.clip(probs[rows, class_idx], 1e-300, None)
+    # the softmax probability of each row's label, without the full division
+    p_true = np.clip(e[rows, class_idx] / esum[:, 0], 1e-300, None)
     ce = float(-np.log(p_true).mean())
     n_out = alloc.shape[1]
     diff = alloc - alloc_labels
     mse = float((diff**2).mean())
     loss = chi_c * ce + chi_r * mse
 
-    # classification head
-    dlogits = probs.copy()
-    dlogits[rows, class_idx] -= 1.0
-    dlogits *= chi_c / batch
-
     # regression head, through the clamp/renormalize projection
     dalloc = diff * (2.0 * chi_r / (batch * n_out))
     r = np.maximum(y, 0.0)
     s = r.sum(axis=1, keepdims=True)
-    renorm = (s > 1.0).astype(np.float64)
     safe_s = np.where(s > 0.0, s, 1.0)
     # rows with s > 1:   d alloc_i / d r_j = delta_ij/s - r_i/s^2
     dr_renorm = dalloc / safe_s - (dalloc * r).sum(axis=1, keepdims=True) / safe_s**2
-    dr = renorm * dr_renorm + (1.0 - renorm) * dalloc
-    dy = dr * (y > 0.0)
+    dy = np.where(s > 1.0, dr_renorm, dalloc) * (y > 0.0)
 
-    wc, _ = model.class_head
     wr, _ = model.reg_head
-    g_wc = h.T @ dlogits
-    g_bc = dlogits.sum(axis=0)
     g_wr = h.T @ dy
     g_br = dy.sum(axis=0)
+    dh = dy @ wr.T
 
-    dh = dlogits @ wc.T + dy @ wr.T
+    # classification head
+    wc, bc = model.class_head
+    if chi_c == 0.0:
+        g_wc, g_bc = np.zeros_like(wc), np.zeros_like(bc)
+    else:
+        dlogits = e / esum
+        dlogits[rows, class_idx] -= 1.0
+        dlogits *= chi_c / batch
+        g_wc = h.T @ dlogits
+        g_bc = dlogits.sum(axis=0)
+        dh = dlogits @ wc.T + dh
+
     trunk_grads: list[tuple[np.ndarray, np.ndarray]] = []
     for li in range(len(model.trunk) - 1, -1, -1):
         w, _ = model.trunk[li]
@@ -478,6 +481,10 @@ def load_model_bytes(data: bytes) -> MtlModel:
     body = np.frombuffer(take(4 * (2 * d + n_weights)), dtype="<f4").astype(np.float64)
     if off != len(data):
         raise FileFormatError("trailing bytes in model file")
+    if not np.isfinite(body).all():
+        raise FileFormatError("non-finite float in model file")
+    if np.any(body[d : 2 * d] <= 0.0):
+        raise FileFormatError("model file has a feature_std entry <= 0")
     return MtlModel(n, hidden, body[:d], body[d : 2 * d], body[2 * d :])
 
 

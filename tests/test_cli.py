@@ -1,8 +1,9 @@
 import json
+import struct
 
 import pytest
 
-from edgeoffload import experiments
+from edgeoffload import experiments, mtl
 from edgeoffload.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -89,7 +90,8 @@ def test_exit_code_bad_file_format(tmp_path):
     assert _run("label", str(bad), "--out", str(tmp_path / "y.csv")) == EXIT_IO
 
 
-def test_eval_of_a_truncated_model_is_an_io_error(tmp_path):
+def _trained_model(tmp_path):
+    """Paths of a one-epoch N=2 model file and the label file it was trained on."""
     inst, labels, model = tmp_path / "inst.txt", tmp_path / "labels.csv", tmp_path / "m.bin"
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs = 1\n")
@@ -97,13 +99,30 @@ def test_eval_of_a_truncated_model_is_an_io_error(tmp_path):
     assert _run("label", str(inst), "--out", str(labels)) == EXIT_OK
     assert _run("train", str(labels), "--config", str(cfg), "--out", str(model)) == EXIT_OK
     assert _run("eval", str(model), str(labels)) == EXIT_OK
+    return model, labels
+
+
+def test_eval_of_a_truncated_model_is_an_io_error(tmp_path):
+    model, labels = _trained_model(tmp_path)
     model.write_bytes(model.read_bytes()[:-1])
+    assert _run("eval", str(model), str(labels)) == EXIT_IO
+
+
+@pytest.mark.parametrize("field, value", [("weight", float("nan")), ("std", 0.0)])
+def test_eval_of_a_model_with_a_corrupt_float_is_an_io_error(tmp_path, field, value):
+    model, labels = _trained_model(tmp_path)
+    blob = bytearray(model.read_bytes())
+    # the file ends in the weights; the 16 std floats of N=2 sit just before them
+    at = len(blob) - 4 * mtl.load_model(model).weights.size - (4 * 16 if field == "std" else 0)
+    blob[at : at + 4] = struct.pack("<f", value)
+    model.write_bytes(bytes(blob))
     assert _run("eval", str(model), str(labels)) == EXIT_IO
 
 
 @pytest.mark.parametrize("line", [
     "hidden_sizes = -3", "hidden_sizes = 0", "hidden_sizes = 8,0", "learning_rate = -1",
     "learning_rate = 0", "adam_beta1 = 1", "adam_beta2 = -0.5", "adam_epsilon = 0",
+    "chi_c = nan", "chi_r = inf", "learning_rate = inf", "adam_epsilon = nan",
 ])
 def test_train_rejects_hyperparameters_that_cannot_train(tmp_path, line):
     inst, labels, model = tmp_path / "inst.txt", tmp_path / "labels.csv", tmp_path / "m.bin"

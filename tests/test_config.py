@@ -95,6 +95,8 @@ def test_train_config_rejects_negative_seed():
     ("learning_rate", "-1"), ("learning_rate", "0"), ("learning_rate", "nan"),
     ("adam_beta1", "1"), ("adam_beta1", "-0.1"), ("adam_beta2", "1.5"), ("adam_beta2", "nan"),
     ("adam_epsilon", "0"), ("adam_epsilon", "-1e-8"),
+    ("chi_c", "nan"), ("chi_c", "inf"), ("chi_r", "nan"), ("chi_r", "inf"),
+    ("learning_rate", "inf"), ("adam_epsilon", "nan"), ("adam_epsilon", "inf"),
 ])
 def test_train_config_rejects_values_that_cannot_train(key, value):
     with pytest.raises(ConfigError, match=key):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edgeoffload.errors import ConfigError, FileFormatError, ShapeError
+from edgeoffload.errors import ConfigError, FileFormatError, ShapeError, ValidationError
 from edgeoffload.model import (
     OffloadSolution,
     batch_features,
@@ -39,6 +39,12 @@ from edgeoffload.solvers import (
 )
 
 
+def _softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 @pytest.fixture(scope="module")
 def small_ds():
     return label_instances(generate_instances(2, 300, seed=100))
@@ -58,7 +64,7 @@ def test_feature_count():
 def test_forward_shapes(trained, small_ds):
     model, _ = trained
     logits, y, alloc = forward(model, normalize(small_ds.features[:7], model))
-    probs = mtl._softmax(logits)
+    probs = _softmax(logits)
     assert probs.shape == (7, 4)
     assert y.shape == (7, 2)
     assert alloc.shape == (7, 2)
@@ -137,7 +143,7 @@ def _infer_solution_per_call(model, inst, decision_source):
         h = np.maximum(h @ w + b, 0.0)
     wc, bc = model.class_head
     wr, br = model.reg_head
-    probs = mtl._softmax(h @ wc + bc)[0]
+    probs = _softmax(h @ wc + bc)[0]
     alloc_pred = mtl._project_alloc(h @ wr + br)[0]
     n = model.n_vehicles
     if decision_source == "class":
@@ -271,7 +277,7 @@ def test_model_serialization_roundtrip(trained):
     x = np.random.default_rng(0).normal(size=(4, feature_count(2)))
     l1, _, a1 = forward(model, x)
     l2, _, a2 = forward(back, x)
-    p1, p2 = mtl._softmax(l1), mtl._softmax(l2)
+    p1, p2 = _softmax(l1), _softmax(l2)
     # float32 storage quantizes the weights once; reload is then exact
     np.testing.assert_allclose(p1, p2, atol=1e-5)
     np.testing.assert_allclose(a1, a2, atol=1e-5)
@@ -339,6 +345,23 @@ _SIZES = len(b"mtl-model v1\n")  # offset of the <II N and layer count
 def test_model_load_rejects_a_cut_or_padded_file(blob):
     with pytest.raises(FileFormatError):
         load_model_bytes(blob)
+
+
+_STD = _SIZES + 12 + 4 * feature_count(1)  # offset of the first feature_std float
+_WEIGHTS = _STD + 4 * feature_count(1)
+
+
+@pytest.mark.parametrize("at, value", [
+    (_WEIGHTS + 4 * 7, float("nan")), (_WEIGHTS, float("inf")), (len(_GOLDEN) - 4, float("-inf")),
+    (_SIZES + 12, float("nan")), (_STD + 4 * 3, float("inf")),
+    (_STD + 4 * 3, 0.0), (_STD, -0.25),
+], ids=["weight-nan", "weight-inf", "last-weight-ninf", "mean-nan", "std-inf", "std-zero",
+        "std-negative"])
+def test_model_load_rejects_a_corrupt_float(at, value):
+    blob = bytearray(_GOLDEN)
+    blob[at : at + 4] = struct.pack("<f", value)
+    with pytest.raises(FileFormatError):
+        load_model_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("n, width", [(0, 2), (17, 2), (1 << 31, 2), (1, 0)])
@@ -430,3 +453,93 @@ def test_fused_adam_matches_per_tensor_loop(chi_c, n, hidden):
     assert save_model_bytes(model) == save_model_bytes(ref_model)
     for p, q in zip(model.params(), ref_model.params()):
         np.testing.assert_array_equal(p, q)
+
+
+def _loss_and_grads_full_backward(model, x, class_idx, alloc_labels, chi_c, chi_r):
+    """Reference: the step it used to run, with the class head's backward
+    pass at every chi_c and the 0/1 blend of the two projection branches."""
+    batch = x.shape[0]
+    if batch == 0:
+        raise ValidationError("empty batch")
+    acts: list[np.ndarray] = []
+    logits, y, alloc = forward(model, x, acts=acts)
+    probs = _softmax(logits)
+    h = acts[-1]
+
+    rows = np.arange(batch)
+    p_true = np.clip(probs[rows, class_idx], 1e-300, None)
+    ce = float(-np.log(p_true).mean())
+    n_out = alloc.shape[1]
+    diff = alloc - alloc_labels
+    mse = float((diff**2).mean())
+    loss = chi_c * ce + chi_r * mse
+
+    # classification head
+    dlogits = probs.copy()
+    dlogits[rows, class_idx] -= 1.0
+    dlogits *= chi_c / batch
+
+    # regression head, through the clamp/renormalize projection
+    dalloc = diff * (2.0 * chi_r / (batch * n_out))
+    r = np.maximum(y, 0.0)
+    s = r.sum(axis=1, keepdims=True)
+    renorm = (s > 1.0).astype(np.float64)
+    safe_s = np.where(s > 0.0, s, 1.0)
+    # rows with s > 1:   d alloc_i / d r_j = delta_ij/s - r_i/s^2
+    dr_renorm = dalloc / safe_s - (dalloc * r).sum(axis=1, keepdims=True) / safe_s**2
+    dr = renorm * dr_renorm + (1.0 - renorm) * dalloc
+    dy = dr * (y > 0.0)
+
+    wc, _ = model.class_head
+    wr, _ = model.reg_head
+    g_wc = h.T @ dlogits
+    g_bc = dlogits.sum(axis=0)
+    g_wr = h.T @ dy
+    g_br = dy.sum(axis=0)
+
+    dh = dlogits @ wc.T + dy @ wr.T
+    trunk_grads: list[tuple[np.ndarray, np.ndarray]] = []
+    for li in range(len(model.trunk) - 1, -1, -1):
+        w, _ = model.trunk[li]
+        pre_act = acts[li + 1]
+        dz = dh * (pre_act > 0.0)
+        trunk_grads.append((acts[li].T @ dz, dz.sum(axis=0)))
+        dh = dz @ w.T
+    trunk_grads.reverse()
+
+    grads: list[np.ndarray] = []
+    for gw, gb in trunk_grads:
+        grads.extend([gw, gb])
+    grads.extend([g_wc, g_bc, g_wr, g_br])
+    return loss, ce, mse, grads
+
+
+@pytest.mark.parametrize("chi_c, n, hidden", [(0.0, 6, (64, 64)), (0.0, 8, (64, 64)),
+                                              (1.0, 2, (12, 12)), (1.0, 5, (32, 32))])
+def test_training_step_matches_the_full_backward_reference(monkeypatch, chi_c, n, hidden):
+    ds = label_instances(generate_instances(n, 300, seed=150 + n))
+    cfg = TrainConfig(chi_c=chi_c, epochs=4, batch_size=64, hidden_sizes=hidden, seed=5)
+    model, log = train(ds, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(mtl, "loss_and_grads", _loss_and_grads_full_backward)
+        ref_model, ref_log = train(ds, cfg)
+    assert log == ref_log
+    np.testing.assert_array_equal(model.weights, ref_model.weights)
+    assert save_model_bytes(model) == save_model_bytes(ref_model)
+    if chi_c == 0.0:  # the class head keeps the bytes it was initialised with
+        init = mtl._init_model(n, hidden, model.feature_mean, model.feature_std,
+                               np.random.default_rng(cfg.seed + 1))
+        for p, q in zip(model.class_head, init.class_head):
+            np.testing.assert_array_equal(p, q)
+        assert log[-1]["ce_term"] > 0.0
+
+
+def test_chi_c_zero_step_has_zero_class_head_gradients(small_ds):
+    model = mtl._init_model(2, (12, 12), np.zeros(16), np.ones(16), np.random.default_rng(0))
+    x = small_ds.features[:50]
+    _, ce, _, grads = loss_and_grads(model, x, small_ds.decision[:50], small_ds.alloc[:50],
+                                     0.0, 1.0)
+    g_wc, g_bc = grads[-4], grads[-3]
+    assert g_wc.shape == model.class_head[0].shape and g_bc.shape == model.class_head[1].shape
+    assert not g_wc.any() and not g_bc.any()
+    assert ce > 0.0
