@@ -12,11 +12,12 @@ import math
 import statistics
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, FileFormatError, ShapeError, ValidationError
+from .kernels import CHUNK_BYTES
 from .model import (MAX_VEHICLES, OffloadInstance, OffloadSolution, feature_count,
                     raw_features, total_cost)
 from .solvers import LabeledDataset, decisions_to_mask, mask_to_decisions, optimal_allocation
@@ -27,7 +28,7 @@ TIMED_REPEATS = 5  # evaluate() reports the median of this many timed repeats
 
 
 def _param_shapes(n_vehicles: int, hidden_sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Shape of every parameter tensor, in ``MtlModel.params()`` order:
+    """Shape of every parameter tensor, in ``MtlModel.weights`` order:
     (W, b) per trunk layer, then the class head and the regression head."""
     sizes = [feature_count(n_vehicles), *hidden_sizes]
     trunk = [s for d_in, d_out in zip(sizes, sizes[1:]) for s in ((d_in, d_out), (d_out,))]
@@ -40,7 +41,7 @@ class MtlModel:
     """Trained weights plus the frozen normalization statistics.
 
     ``weights`` is the model: every parameter in one flat float64 array, in
-    ``params()`` order.  ``trunk`` (a (W, b) pair per dense layer),
+    ``_param_shapes`` order.  ``trunk`` (a (W, b) pair per dense layer),
     ``class_head`` and ``reg_head`` are views of it, bound at construction.
     """
 
@@ -63,13 +64,6 @@ class MtlModel:
         views = iter(self.weights[a:b].reshape(s) for s, a, b in zip(shapes, bounds, bounds[1:]))
         pairs = list(zip(views, views))  # (W, b) per layer
         self.trunk, self.class_head, self.reg_head = pairs[:-2], pairs[-2], pairs[-1]
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in self.trunk:
-            out.extend([w, b])
-        out.extend([*self.class_head, *self.reg_head])
-        return out
 
 
 @dataclass(frozen=True)
@@ -173,31 +167,24 @@ def loss_and_grads(
     alloc_labels: np.ndarray,
     chi_c: float,
     chi_r: float,
+    grad: MtlModel,
 ):
-    """Weighted-sum loss and gradients w.r.t. every parameter tensor.
+    """Weighted-sum loss, with its gradient w.r.t. ``model.weights`` written
+    in place into ``grad.weights`` (``grad`` is a model of the same shape).
 
-    Returns (loss, ce_term, mse_term, grads) with grads ordered like
-    ``model.params()``.  With ``chi_c == 0`` the cross-entropy is still
-    computed for the log, but the class head's backward pass is skipped:
-    its gradients are exact zero arrays and it adds nothing to the trunk's.
+    Returns (loss, ce_term, mse_term).  The class head takes part only when
+    ``chi_c != 0``; at ``chi_c == 0`` ``ce_term`` is nan (not computed) and
+    ``grad.class_head`` is left as it was passed in.
     """
     batch = x.shape[0]
     if batch == 0:
         raise ValidationError("empty batch")
     acts: list[np.ndarray] = []
-    logits, y, alloc = forward(model, x, acts=acts)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    esum = e.sum(axis=1, keepdims=True)
+    logits, y, alloc = forward(model, x, with_class=chi_c != 0.0, acts=acts)
     h = acts[-1]
-
-    rows = np.arange(batch)
-    # the softmax probability of each row's label, without the full division
-    p_true = np.clip(e[rows, class_idx] / esum[:, 0], 1e-300, None)
-    ce = float(-np.log(p_true).mean())
     n_out = alloc.shape[1]
     diff = alloc - alloc_labels
     mse = float((diff**2).mean())
-    loss = chi_c * ce + chi_r * mse
 
     # regression head, through the clamp/renormalize projection
     dalloc = diff * (2.0 * chi_r / (batch * n_out))
@@ -208,37 +195,36 @@ def loss_and_grads(
     dr_renorm = dalloc / safe_s - (dalloc * r).sum(axis=1, keepdims=True) / safe_s**2
     dy = np.where(s > 1.0, dr_renorm, dalloc) * (y > 0.0)
 
-    wr, _ = model.reg_head
-    g_wr = h.T @ dy
-    g_br = dy.sum(axis=0)
+    (wr, _), (g_wr, g_br) = model.reg_head, grad.reg_head
+    np.matmul(h.T, dy, out=g_wr)
+    dy.sum(axis=0, out=g_br)
     dh = dy @ wr.T
 
-    # classification head
-    wc, bc = model.class_head
-    if chi_c == 0.0:
-        g_wc, g_bc = np.zeros_like(wc), np.zeros_like(bc)
+    if logits is None:
+        ce, loss = math.nan, chi_r * mse
     else:
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        esum = e.sum(axis=1, keepdims=True)
+        rows = np.arange(batch)
+        # the softmax probability of each row's label, without the full division
+        p_true = np.clip(e[rows, class_idx] / esum[:, 0], 1e-300, None)
+        ce = float(-np.log(p_true).mean())
+        loss = chi_c * ce + chi_r * mse
         dlogits = e / esum
         dlogits[rows, class_idx] -= 1.0
         dlogits *= chi_c / batch
-        g_wc = h.T @ dlogits
-        g_bc = dlogits.sum(axis=0)
+        (wc, _), (g_wc, g_bc) = model.class_head, grad.class_head
+        np.matmul(h.T, dlogits, out=g_wc)
+        dlogits.sum(axis=0, out=g_bc)
         dh = dlogits @ wc.T + dh
 
-    trunk_grads: list[tuple[np.ndarray, np.ndarray]] = []
     for li in range(len(model.trunk) - 1, -1, -1):
-        w, _ = model.trunk[li]
-        pre_act = acts[li + 1]
-        dz = dh * (pre_act > 0.0)
-        trunk_grads.append((acts[li].T @ dz, dz.sum(axis=0)))
-        dh = dz @ w.T
-    trunk_grads.reverse()
-
-    grads: list[np.ndarray] = []
-    for gw, gb in trunk_grads:
-        grads.extend([gw, gb])
-    grads.extend([g_wc, g_bc, g_wr, g_br])
-    return loss, ce, mse, grads
+        dz = dh * (acts[li + 1] > 0.0)
+        g_w, g_b = grad.trunk[li]
+        np.matmul(acts[li].T, dz, out=g_w)
+        dz.sum(axis=0, out=g_b)
+        dh = dz @ model.trunk[li][0].T
+    return loss, ce, mse
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +285,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
     """Mini-batch Adam on the weighted cross-entropy + MSE loss.
 
     Deterministic in ``cfg.seed``; the returned log has one entry per epoch
-    with the mean total/ce/mse terms over that epoch's batches.
+    with the mean total/ce/mse terms over that epoch's batches; at
+    ``chi_c == 0`` the class head keeps its initial weights.
     """
     if ds.n_samples == 0:
         raise ValidationError("training dataset is empty")
@@ -315,7 +302,12 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
 
     rng = np.random.default_rng(cfg.seed + 1)
     model = _init_model(n, tuple(cfg.hidden_sizes), mean, std, rng)
-    grad, m_state, v_state, work = (np.zeros_like(model.weights) for _ in range(4))
+    grad = replace(model, weights=np.zeros_like(model.weights))  # views in its layout
+    m_state, v_state, work = (np.zeros_like(model.weights) for _ in range(3))
+    n_class, n_reg = (w.size + b.size for w, b in (model.class_head, model.reg_head))
+    live = [np.s_[: -n_class - n_reg], np.s_[-n_reg:]] if cfg.chi_c == 0.0 else [np.s_[:]]
+    adam_slices = [(model.weights[s], grad.weights[s], m_state[s], v_state[s], work[s])
+                   for s in live]
     t = 0
     log: list[dict] = []
     n_train = x.shape[0]
@@ -325,8 +317,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
         n_batches = 0
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            value, ce, mse, grads = loss_and_grads(
-                model, x[idx], cls[idx], alloc[idx], cfg.chi_c, cfg.chi_r
+            value, ce, mse = loss_and_grads(
+                model, x[idx], cls[idx], alloc[idx], cfg.chi_c, cfg.chi_r, grad
             )
             if not np.isfinite(value):
                 raise ValidationError(
@@ -337,8 +329,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
             lr_t = cfg.learning_rate * (
                 np.sqrt(1.0 - cfg.adam_beta2**t) / (1.0 - cfg.adam_beta1**t)
             )
-            np.concatenate([g.ravel() for g in grads], out=grad)
-            _adam_step(model.weights, grad, m_state, v_state, work, lr_t, cfg)
+            for views in adam_slices:
+                _adam_step(*views, lr_t, cfg)
             tot += value
             ce_sum += ce
             mse_sum += mse
@@ -364,16 +356,23 @@ def _decide(
     """Offload masks and projected allocs for normalized rows ``x``.
 
     ``"class"`` takes the classifier's argmax (softmax is monotone, and the
-    first hit on ties is the lowest mask); ``"reg"`` offloads vehicle i when
+    first hit on ties is the lowest mask), with the 2^N-wide logits made in
+    row blocks of at most ``CHUNK_BYTES``; ``"reg"`` offloads vehicle i when
     its regression output exceeds 0.5/N.  Mask bit N-1-i is vehicle i.
     """
     if decision_source not in ("class", "reg"):
         raise ConfigError(f"unknown decision_source {decision_source!r}")
-    logits, _, alloc = forward(model, x, with_class=decision_source == "class")
-    if logits is not None:
-        return logits.argmax(axis=1), alloc
+    acts: list[np.ndarray] = []
+    _, _, alloc = forward(model, x, with_class=False, acts=acts)
     n = model.n_vehicles
-    return (alloc > 0.5 / n) @ (1 << np.arange(n - 1, -1, -1)), alloc
+    if decision_source == "reg":
+        return (alloc > 0.5 / n) @ (1 << np.arange(n - 1, -1, -1)), alloc
+    h, (wc, bc) = acts[-1], model.class_head
+    rows = max(1, CHUNK_BYTES // (8 << n))
+    masks = np.empty(len(h), dtype=np.intp)
+    for i in range(0, len(h), rows):
+        masks[i : i + rows] = (h[i : i + rows] @ wc + bc).argmax(axis=1)
+    return masks, alloc
 
 
 def infer_solution(

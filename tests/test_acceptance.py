@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 on passing runs too (pytest captures stdout otherwise).
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,21 +116,21 @@ def test_criterion_3_gradient_check():
         idx = rng.choice(ds.n_samples, size=8, replace=False)
         x = normalize(ds.features[idx], model)
         ci, al = ds.decision[idx], ds.alloc[idx]
-        _, _, _, grads = loss_and_grads(model, x, ci, al, 1.0, 1.0)
-        params = model.params()
+        grad = replace(model, weights=np.zeros_like(model.weights))
+        loss_and_grads(model, x, ci, al, 1.0, 1.0, grad)
+        g, p = grad.weights, model.weights
+        scratch = replace(model, weights=np.zeros_like(p))  # for the perturbed steps
         eps = 1e-6
-        for p, g in zip(params, grads):
-            flat_p, flat_g = p.ravel(), g.ravel()
-            for j in range(flat_p.size):
-                orig = flat_p[j]
-                flat_p[j] = orig + eps
-                hi = loss_and_grads(model, x, ci, al, 1.0, 1.0)[0]
-                flat_p[j] = orig - eps
-                lo = loss_and_grads(model, x, ci, al, 1.0, 1.0)[0]
-                flat_p[j] = orig
-                fd = (hi - lo) / (2 * eps)
-                denom = max(abs(fd), abs(flat_g[j]), 1e-8)
-                worst = max(worst, abs(fd - flat_g[j]) / denom)
+        for j in range(p.size):
+            orig = p[j]
+            p[j] = orig + eps
+            hi = loss_and_grads(model, x, ci, al, 1.0, 1.0, scratch)[0]
+            p[j] = orig - eps
+            lo = loss_and_grads(model, x, ci, al, 1.0, 1.0, scratch)[0]
+            p[j] = orig
+            fd = (hi - lo) / (2 * eps)
+            denom = max(abs(fd), abs(g[j]), 1e-8)
+            worst = max(worst, abs(fd - g[j]) / denom)
     _verdict(3, worst < 1e-4, f"20 mini-batches, max rel grad error {worst:.2e} (< 1e-4)")
 
 

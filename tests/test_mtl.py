@@ -1,4 +1,7 @@
+import math
 import struct
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +40,24 @@ from edgeoffload.solvers import (
     optimal_allocation,
     solve_sbb,
 )
+
+
+def _tensors(model):
+    """Every parameter tensor of ``model``, in ``weights`` order."""
+    return [t for pair in (*model.trunk, model.class_head, model.reg_head) for t in pair]
+
+
+def _grad_like(model):
+    """A zeroed gradient buffer: a copy of ``model`` with its own weights."""
+    return replace(model, weights=np.zeros_like(model.weights))
+
+
+def _assert_same_log(log, ref_log, chi_c):
+    """Equal logs; at chi_c = 0 ``ce_term`` is nan (not computed), and nan != nan."""
+    keys = ["epoch", "loss", "mse_term"] + (["ce_term"] if chi_c != 0.0 else [])
+    assert [[row[k] for k in keys] for row in log] == [[row[k] for k in keys] for row in ref_log]
+    if chi_c == 0.0:
+        assert all(math.isnan(row["ce_term"]) for row in log)
 
 
 def _softmax(logits):
@@ -292,8 +313,8 @@ def _golden_model():
     tensors = [np.arange(20.0).reshape(d, 2), [0.5, -0.5],  # trunk W (d_in, d_out), b
                [[1.0, 2.0], [3.0, 4.0]], [-1.0, -2.0],     # class head W (h, 2^N), b
                [[0.25], [0.75]], [0.125]]                  # regression head W (h, N), b
-    assert [p.shape for p in model.params()] == [(d, 2), (2,), (2, 2), (2,), (2, 1), (1,)]
-    for p, value in zip(model.params(), tensors):
+    assert [p.shape for p in _tensors(model)] == [(d, 2), (2,), (2, 2), (2,), (2, 1), (1,)]
+    for p, value in zip(_tensors(model), tensors):
         p[...] = value
     blob = (b"mtl-model v1\n"
             + struct.pack("<II", 1, 1) + struct.pack("<I", 2)
@@ -312,7 +333,7 @@ def test_model_file_matches_the_hand_packed_layout():
     assert save_model_bytes(model) == blob
     back = load_model_bytes(blob)
     assert (back.n_vehicles, back.hidden_sizes) == (1, (2,))
-    for p, q in zip(back.params(), model.params()):
+    for p, q in zip(_tensors(back), _tensors(model)):
         np.testing.assert_array_equal(p, q)
     assert save_model_bytes(back) == blob
 
@@ -320,7 +341,7 @@ def test_model_file_matches_the_hand_packed_layout():
 def test_model_heads_are_views_of_the_weights():
     model, _ = _golden_model()
     model.weights[:] = 0.0
-    assert not any(p.any() for p in model.params())
+    assert not any(p.any() for p in _tensors(model))
     with pytest.raises(ShapeError, match="31 weights"):
         MtlModel(1, (2,), model.feature_mean, model.feature_std, model.weights[:-1])
 
@@ -377,15 +398,19 @@ def test_model_load_rejects_sizes_before_building_the_layout(monkeypatch, n, wid
 
 def test_default_model_under_2kb(trained):
     model, _ = trained
-    assert len(save_model_bytes(model)) == 1909 <= 2048  # the README figure
+    assert len(save_model_bytes(model)) == 1909 <= 2048  # the README figures
+    d = feature_count(8)
+    n8 = mtl._init_model(8, (64, 64), np.zeros(d), np.ones(d), np.random.default_rng(0))
+    assert len(save_model_bytes(n8)) == 99293
 
 
 def test_loss_decomposition(trained, small_ds):
     model, _ = trained
     x = normalize(small_ds.features[:64], model)
-    ce_only = loss_and_grads(model, x, small_ds.decision[:64], small_ds.alloc[:64], 1.0, 0.0)[0]
-    mse_only = loss_and_grads(model, x, small_ds.decision[:64], small_ds.alloc[:64], 0.0, 1.0)[0]
-    both = loss_and_grads(model, x, small_ds.decision[:64], small_ds.alloc[:64], 1.0, 1.0)[0]
+    batch = (model, x, small_ds.decision[:64], small_ds.alloc[:64])
+    ce_only = loss_and_grads(*batch, 1.0, 0.0, _grad_like(model))[0]
+    mse_only = loss_and_grads(*batch, 0.0, 1.0, _grad_like(model))[0]
+    both = loss_and_grads(*batch, 1.0, 1.0, _grad_like(model))[0]
     assert both == pytest.approx(ce_only + mse_only, rel=1e-12)
 
 
@@ -409,7 +434,8 @@ def _train_per_tensor(ds, cfg):
     cls, alloc = ds.decision[train_idx], ds.alloc[train_idx]
     rng = np.random.default_rng(cfg.seed + 1)
     model = mtl._init_model(ds.n_vehicles, tuple(cfg.hidden_sizes), mean, std, rng)
-    params = model.params()
+    grad = _grad_like(model)
+    params, grads = _tensors(model), _tensors(grad)
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     t, log = 0, []
@@ -419,8 +445,8 @@ def _train_per_tensor(ds, cfg):
         n_batches = 0
         for start in range(0, x.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            value, ce, mse, grads = mtl.loss_and_grads(
-                model, x[idx], cls[idx], alloc[idx], cfg.chi_c, cfg.chi_r
+            value, ce, mse = mtl.loss_and_grads(
+                model, x[idx], cls[idx], alloc[idx], cfg.chi_c, cfg.chi_r, grad
             )
             t += 1
             lr_t = cfg.learning_rate * (
@@ -449,15 +475,16 @@ def test_fused_adam_matches_per_tensor_loop(chi_c, n, hidden):
                       train_fraction=0.9)
     model, log = train(ds, cfg)
     ref_model, ref_log = _train_per_tensor(ds, cfg)
-    assert log == ref_log
+    _assert_same_log(log, ref_log, chi_c)
     assert save_model_bytes(model) == save_model_bytes(ref_model)
-    for p, q in zip(model.params(), ref_model.params()):
+    for p, q in zip(_tensors(model), _tensors(ref_model)):
         np.testing.assert_array_equal(p, q)
 
 
-def _loss_and_grads_full_backward(model, x, class_idx, alloc_labels, chi_c, chi_r):
-    """Reference: the step it used to run, with the class head's backward
-    pass at every chi_c and the 0/1 blend of the two projection branches."""
+def _loss_and_grads_full_backward(model, x, class_idx, alloc_labels, chi_c, chi_r, grad):
+    """Reference: the step it used to run, with the class head's forward and
+    backward passes at every chi_c, the 0/1 blend of the two projection
+    branches and one concatenation of every gradient into ``grad``."""
     batch = x.shape[0]
     if batch == 0:
         raise ValidationError("empty batch")
@@ -511,7 +538,8 @@ def _loss_and_grads_full_backward(model, x, class_idx, alloc_labels, chi_c, chi_
     for gw, gb in trunk_grads:
         grads.extend([gw, gb])
     grads.extend([g_wc, g_bc, g_wr, g_br])
-    return loss, ce, mse, grads
+    np.concatenate([g.ravel() for g in grads], out=grad.weights)
+    return loss, ce, mse
 
 
 @pytest.mark.parametrize("chi_c, n, hidden", [(0.0, 6, (64, 64)), (0.0, 8, (64, 64)),
@@ -523,7 +551,7 @@ def test_training_step_matches_the_full_backward_reference(monkeypatch, chi_c, n
     with monkeypatch.context() as patch:
         patch.setattr(mtl, "loss_and_grads", _loss_and_grads_full_backward)
         ref_model, ref_log = train(ds, cfg)
-    assert log == ref_log
+    _assert_same_log(log, ref_log, chi_c)
     np.testing.assert_array_equal(model.weights, ref_model.weights)
     assert save_model_bytes(model) == save_model_bytes(ref_model)
     if chi_c == 0.0:  # the class head keeps the bytes it was initialised with
@@ -531,15 +559,52 @@ def test_training_step_matches_the_full_backward_reference(monkeypatch, chi_c, n
                                np.random.default_rng(cfg.seed + 1))
         for p, q in zip(model.class_head, init.class_head):
             np.testing.assert_array_equal(p, q)
-        assert log[-1]["ce_term"] > 0.0
+        assert ref_log[-1]["ce_term"] > 0.0  # the reference still computes it
 
 
-def test_chi_c_zero_step_has_zero_class_head_gradients(small_ds):
-    model = mtl._init_model(2, (12, 12), np.zeros(16), np.ones(16), np.random.default_rng(0))
-    x = small_ds.features[:50]
-    _, ce, _, grads = loss_and_grads(model, x, small_ds.decision[:50], small_ds.alloc[:50],
-                                     0.0, 1.0)
-    g_wc, g_bc = grads[-4], grads[-3]
-    assert g_wc.shape == model.class_head[0].shape and g_bc.shape == model.class_head[1].shape
-    assert not g_wc.any() and not g_bc.any()
-    assert ce > 0.0
+def test_chi_c_zero_gradient_check():
+    """Central differences over the trunk and regression-head entries of a
+    chi_c = 0 step; the class-head slice of ``grad`` is left as passed in."""
+    ds = label_instances(generate_instances(3, 64, seed=160))
+    model, _ = train(ds, TrainConfig(chi_c=0.0, epochs=2, hidden_sizes=(8, 6), seed=0))
+    x = normalize(ds.features[:8], model)
+    step = (model, x, ds.decision[:8], ds.alloc[:8], 0.0, 0.7)
+    grad = _grad_like(model)
+    grad.weights[:] = np.random.default_rng(162).normal(size=grad.weights.size)
+    passed_in = replace(grad, weights=grad.weights.copy())
+    loss, ce, mse = loss_and_grads(*step, grad)
+    assert math.isnan(ce) and loss == 0.7 * mse
+    for g, g_in in zip(grad.class_head, passed_in.class_head):
+        np.testing.assert_array_equal(g, g_in)
+    in_head = _grad_like(model)
+    for t in in_head.class_head:
+        t[...] = 1.0
+    scratch, p, eps, worst = _grad_like(model), model.weights, 1e-6, 0.0
+    for j in np.flatnonzero(in_head.weights == 0.0):  # the trunk and regression head
+        orig = p[j]
+        p[j] = orig + eps
+        hi = loss_and_grads(*step, scratch)[0]
+        p[j] = orig - eps
+        lo = loss_and_grads(*step, scratch)[0]
+        p[j] = orig
+        fd = (hi - lo) / (2 * eps)
+        worst = max(worst, abs(fd - grad.weights[j]) / max(abs(fd), abs(grad.weights[j]), 1e-8))
+    assert worst < 1e-4
+
+
+def test_class_decisions_memory_bounded_by_chunk_budget():
+    # 600 N=12 rows of float64 logits alone would be 18.75 MiB
+    n = 12
+    d = feature_count(n)
+    model = mtl._init_model(n, (16, 16), np.zeros(d), np.ones(d), np.random.default_rng(170))
+    x = np.random.default_rng(171).normal(size=(600, d))
+    expected = forward(model, x)[0].argmax(axis=1)
+    tracemalloc.start()
+    try:
+        masks, alloc = mtl._decide(model, x, "class")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(masks, expected)
+    assert alloc.shape == (600, n)
+    assert peak < 3 * mtl.CHUNK_BYTES
