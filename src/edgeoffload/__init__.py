@@ -20,7 +20,6 @@ from .solvers import (
     SolveReport,
     optimal_allocation,
     solve_exhaustive,
-    solve_grid,
     solve_sbb,
 )
 from .mtl import EvalMetrics, MtlModel, TrainConfig, evaluate, infer_solution, train

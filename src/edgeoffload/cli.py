@@ -22,7 +22,7 @@ from .experiments import (
 )
 from .model import generate_instances, read_instances, write_instances
 from .mtl import evaluate, load_model, save_model, train, write_training_log
-from .solvers import SOLVERS, label_instances, read_labels, solve_batch, write_labels
+from .solvers import SOLVERS, SbbConfig, label_instances, read_labels, solve_batch, write_labels
 from .split import best_split, local_joint_crossover, strategy_cost
 
 EXIT_OK = 0
@@ -34,17 +34,9 @@ EXIT_VALIDATION = 4
 
 def _solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver", choices=SOLVERS, default="exhaustive")
-    parser.add_argument("--grid-step", type=float, default=0.01)
     parser.add_argument("--max-nodes", type=int, default=None,
-                        help="sBB node budget (default: unbudgeted)")
-
-
-def _solver_kwargs(args) -> dict:
-    if args.solver == "grid":
-        return {"grid_step": args.grid_step}
-    if args.solver == "sbb" and args.max_nodes is not None:
-        return {"max_nodes": args.max_nodes}
-    return {}
+                        help=f"sbb node budget (default: {SbbConfig().max_nodes:,} nodes); "
+                             "a config error for any other solver")
 
 
 def _read_cfg(args) -> dict[str, str]:
@@ -61,8 +53,8 @@ def cmd_generate(args) -> int:
 
 def _label_to_file(args, workers: int = 1) -> int:
     instances = read_instances(args.instances)
-    ds = label_instances(instances, solver=args.solver,
-                         solver_kwargs=_solver_kwargs(args), workers=workers)
+    ds = label_instances(instances, solver=args.solver, max_nodes=args.max_nodes,
+                         workers=workers)
     write_labels(args.out, ds)
     print(f"labeled {len(instances)} instances with {args.solver} -> {args.out}")
     return EXIT_OK
@@ -99,7 +91,7 @@ def cmd_solve(args) -> int:
     if args.out is not None:
         return _label_to_file(args)
     instances = read_instances(args.instances)
-    for i, rep in enumerate(solve_batch(instances, args.solver, _solver_kwargs(args))):
+    for i, rep in enumerate(solve_batch(instances, args.solver, args.max_nodes)):
         sol = rep.solution
         dec = "".join(str(d) for d in sol.decisions)
         alloc = ",".join(f"{a:.6f}" for a in sol.alloc)

@@ -29,9 +29,5 @@ class ShapeError(ValidationError):
     """Vector / tensor dimensions do not match."""
 
 
-class SizeLimitError(ValidationError):
-    """Problem size exceeds a hard enumeration guard."""
-
-
 class FileFormatError(EdgeOffloadError):
     """A versioned data file has a bad header or a malformed record."""

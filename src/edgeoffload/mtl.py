@@ -25,6 +25,7 @@ from .solvers import LabeledDataset, decisions_to_mask, mask_to_decisions, optim
 MODEL_FILE_HEADER = b"mtl-model v1\n"
 DEFAULT_HIDDEN = (12, 12)  # largest symmetric pair keeping the N=2 file <= 2048 B
 TIMED_REPEATS = 5  # evaluate() reports the median of this many timed repeats
+MIN_TIMED_PASSES = 1000  # and each repeat decides at least this many rows
 
 
 def _param_shapes(n_vehicles: int, hidden_sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -223,7 +224,8 @@ def loss_and_grads(
         g_w, g_b = grad.trunk[li]
         np.matmul(acts[li].T, dz, out=g_w)
         dz.sum(axis=0, out=g_b)
-        dh = dz @ model.trunk[li][0].T
+        if li:  # the input layer's dh would go unread
+            dh = dz @ model.trunk[li][0].T
     return loss, ce, mse
 
 
@@ -408,12 +410,11 @@ def evaluate(
     model: MtlModel,
     ds: LabeledDataset,
     decision_source: str = "class",
-    min_timed_passes: int = 1000,
 ) -> EvalMetrics:
     """Exact decision-match accuracy, alloc MSE and amortized decision time.
 
     The time per row is the median of ``TIMED_REPEATS`` separately timed
-    repeats, each of ceil(``min_timed_passes`` / n) batched passes over the
+    repeats, each of ceil(``MIN_TIMED_PASSES`` / n) batched passes over the
     n rows, so one host stall does not set it.
     """
     if ds.n_samples == 0:
@@ -423,7 +424,7 @@ def evaluate(
     accuracy = float((pred_mask == ds.decision).mean())
     mse = float(((alloc - ds.alloc) ** 2).mean())
 
-    reps = int(np.ceil(min_timed_passes / ds.n_samples))
+    reps = int(np.ceil(MIN_TIMED_PASSES / ds.n_samples))
     repeat_seconds = []
     for _ in range(TIMED_REPEATS):
         t0 = time.perf_counter()

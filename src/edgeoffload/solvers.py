@@ -6,9 +6,9 @@ edge CPU over the offloading set O) has the closed form
     alloc_i = sqrt(C_i) / sum_{j in O} sqrt(C_j)
 
 which makes the cost of a decision mask cheap to evaluate; the exhaustive
-solver enumerates all 2^N masks through the batched kernel, the grid solver
-reproduces simplex-grid traversal, and the branch-and-bound solver searches
-partial binary fixings with an admissible per-vehicle bound.
+solver enumerates all 2^N masks through the batched kernel, and the
+branch-and-bound solver searches partial binary fixings with an admissible
+per-vehicle bound under a node budget.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     FileFormatError,
     InvalidAllocationError,
-    SizeLimitError,
     ValidationError,
 )
 from .model import (
@@ -41,7 +40,7 @@ from .model import (
 
 LABELS_FILE_HEADER = "offload-labels v1"
 
-SOLVERS = ("exhaustive", "grid", "sbb")
+SOLVERS = ("exhaustive", "sbb")
 
 
 @dataclass(frozen=True)
@@ -224,72 +223,6 @@ def batch_solve_exhaustive(instances: list[OffloadInstance]) -> list[SolveReport
 
 
 # ---------------------------------------------------------------------------
-# simplex-grid traversal
-# ---------------------------------------------------------------------------
-
-GRID_COMBINATION_CAP = 10**8
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of nonnegative ints of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def solve_grid(inst: OffloadInstance, grid_step: float) -> SolveReport:
-    """Traverse decisions x allocation vectors on the simplex grid."""
-    t0 = time.perf_counter()
-    if not 0.0 < grid_step <= 0.5:
-        raise ValidationError(f"grid_step must be in (0, 0.5], got {grid_step!r}")
-    n = inst.n_vehicles
-    steps = round(1.0 / grid_step)
-    if steps**n > GRID_COMBINATION_CAP:
-        raise SizeLimitError(
-            f"(1/grid_step)^N = {steps}^{n} exceeds the {GRID_COMBINATION_CAP:.0e} cap"
-        )
-    local, off_base, sqrt_c, wt_over_f = _instance_arrays(inst)
-    cycles = sqrt_c**2
-    best_cost = math.inf
-    best_mask = 0
-    best_alloc: tuple[float, ...] = (0.0,) * n
-    evaluated = 0
-    for mask in range(1 << n):
-        offs = [i for i in range(n) if (mask >> (n - 1 - i)) & 1]
-        base = sum(off_base[i] if i in offs else local[i] for i in range(n))
-        if not offs:
-            evaluated += 1
-            if base < best_cost:
-                best_cost, best_mask, best_alloc = base, mask, (0.0,) * n
-            continue
-        for combo in _compositions(steps, len(offs)):
-            evaluated += 1
-            if 0 in combo:
-                continue  # an offloader with zero share has infinite cost
-            edge = sum(
-                wt_over_f * cycles[i] * steps / k for i, k in zip(offs, combo)
-            )
-            cost = base + edge
-            if cost < best_cost:
-                alloc = [0.0] * n
-                for i, k in zip(offs, combo):
-                    alloc[i] = k / steps
-                best_cost, best_mask, best_alloc = cost, mask, tuple(alloc)
-    decisions = mask_to_decisions(best_mask, n)
-    cost = total_cost(inst, decisions, best_alloc)
-    sol = OffloadSolution(decisions=decisions, alloc=best_alloc, cost=cost)
-    return SolveReport(
-        solution=sol,
-        nodes_explored=evaluated,
-        proven_optimal=False,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
 # branch and bound over binary fixings
 # ---------------------------------------------------------------------------
 
@@ -405,24 +338,30 @@ class LabeledDataset:
         return self.alloc.shape[1]
 
 
-def _check_solver(solver: str) -> None:
+def _sbb_config(solver: str, max_nodes: int | None) -> SbbConfig:
+    """The node budget of a solve; a budget given to any solver but sbb is
+    refused rather than ignored."""
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; choose from {list(SOLVERS)}")
+    if max_nodes is None:
+        return SbbConfig()
+    if solver != "sbb":
+        raise ConfigError(f"max_nodes is an sbb budget; the {solver} solver takes none")
+    return SbbConfig(max_nodes)
 
 
 def solve_batch(
     instances: list[OffloadInstance],
     solver: str = "exhaustive",
-    solver_kwargs: dict | None = None,
+    max_nodes: int | None = None,
 ) -> list[SolveReport]:
-    """Solve a batch with one of the named solvers, preserving input order."""
-    _check_solver(solver)
-    kw = solver_kwargs or {}
+    """Solve a batch with one of the named solvers, preserving input order.
+
+    ``max_nodes`` is sbb's node budget (default: ``SbbConfig``'s).
+    """
+    cfg = _sbb_config(solver, max_nodes)
     if solver == "exhaustive":
         return batch_solve_exhaustive(instances)
-    if solver == "grid":
-        return [solve_grid(inst, **kw) for inst in instances]
-    cfg = SbbConfig(**kw)
     return [solve_sbb(inst, cfg) for inst in instances]
 
 
@@ -437,26 +376,26 @@ def _report_columns(reports: list[SolveReport]):
 
 def _label_chunk(args):
     """(decision, alloc, cost) columns of one chunk of a labeling job."""
-    instances, features, solver, kw = args
+    instances, features, solver, max_nodes = args
     if solver == "exhaustive":
         return _exhaustive_columns(instances, features)
-    return _report_columns(solve_batch(instances, solver, kw))
+    return _report_columns(solve_batch(instances, solver, max_nodes))
 
 
 def label_instances(
     instances: list[OffloadInstance],
     solver: str = "exhaustive",
-    solver_kwargs: dict | None = None,
+    max_nodes: int | None = None,
     workers: int = 1,
 ) -> LabeledDataset:
     """Solve every instance and assemble (features, label) rows in input order.
 
-    The batch must be non-empty and share one N.
+    The batch must be non-empty and share one N.  ``max_nodes`` is sbb's
+    node budget, as in ``solve_batch``.
     """
-    _check_solver(solver)
+    _sbb_config(solver, max_nodes)
     if not instances:
         raise ValidationError("no instances to label")
-    kw = dict(solver_kwargs or {})
     features = batch_features(instances)
     if workers > 1 and len(instances) > 1:
         # imported here: the pool's modules add about 2 MB to every process
@@ -465,13 +404,14 @@ def label_instances(
 
         chunks = np.array_split(np.arange(len(instances)), workers)
         jobs = [
-            ([instances[i] for i in idx], features[idx], solver, kw) for idx in chunks if len(idx)
+            ([instances[i] for i in idx], features[idx], solver, max_nodes)
+            for idx in chunks if len(idx)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_label_chunk, jobs))
         decision, alloc, cost = (np.concatenate(col) for col in zip(*parts))
     else:
-        decision, alloc, cost = _label_chunk((instances, features, solver, kw))
+        decision, alloc, cost = _label_chunk((instances, features, solver, max_nodes))
     return LabeledDataset(features=features, decision=decision, alloc=alloc, cost=cost)
 
 

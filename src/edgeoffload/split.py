@@ -101,7 +101,7 @@ def segment_cost(sc: InferenceScenario, k: int, upload_bytes: float) -> float:
     """Cost of running layers 1..k locally, uploading, and finishing on edge."""
     L = sc.profile.n_layers
     if not 0 <= k <= L:
-        raise IndexError(f"split index {k} out of range 0..{L}")
+        raise InvalidParameterError(f"split index {k} out of range 0..{L}")
     if upload_bytes < 0:
         raise InvalidParameterError("upload_bytes must be >= 0")
     w = sc.weights

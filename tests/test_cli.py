@@ -60,6 +60,27 @@ def test_solve_with_budget(tmp_path, capsys):
     assert "optimal=False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, out_args", [
+    ("label", ["--out", "x.csv"]), ("solve", ["--out", "x.csv"]), ("solve", []),
+])
+def test_budget_for_the_exhaustive_solver_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                            command, out_args):
+    monkeypatch.chdir(tmp_path)
+    assert _run("generate", "--count", "2", "--out", "inst.txt") == EXIT_OK
+    capsys.readouterr()
+    assert _run(command, "inst.txt", "--solver", "exhaustive", "--max-nodes", "3",
+                *out_args) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert not out and "max_nodes" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.txt"]
+
+
+def test_grid_solver_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        _run("solve", str(tmp_path / "inst.txt"), "--solver", "grid")
+    assert excinfo.value.code == 2
+
+
 def test_split_plan_defaults(capsys):
     assert _run("split-plan") == EXIT_OK
     out = capsys.readouterr().out
@@ -299,6 +320,7 @@ _BASE_ARGV = {
     ("eval", "--config"), ("eval", "--seed"), ("eval", "--out"), ("eval", "--workers"),
     ("solve", "--config"), ("solve", "--seed"), ("solve", "--workers"),
     ("split-plan", "--seed"), ("split-plan", "--workers"),
+    ("label", "--grid-step"), ("solve", "--grid-step"),
 ])
 def test_unread_option_is_a_usage_error(tmp_path, monkeypatch, command, flag):
     monkeypatch.chdir(tmp_path)
@@ -310,7 +332,6 @@ def test_unread_option_is_a_usage_error(tmp_path, monkeypatch, command, flag):
 
 @pytest.mark.parametrize("solver_args", [
     ["--solver", "exhaustive"],
-    ["--solver", "grid", "--grid-step", "0.1"],
     ["--solver", "sbb"],
 ])
 def test_solve_out_writes_the_label_file(tmp_path, solver_args):

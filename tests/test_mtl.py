@@ -120,13 +120,14 @@ def test_training_seed_changes_model(small_ds):
     assert save_model_bytes(m1) != save_model_bytes(m2)
 
 
-def test_overfit_tiny_batch():
+def test_overfit_tiny_batch(monkeypatch):
     """A hard sanity check on the optimizer: 32 samples must be memorized."""
     ds = label_instances(generate_instances(2, 32, seed=101))
     cfg = TrainConfig(epochs=5000, learning_rate=1e-2, batch_size=32, seed=0)
     model, log = train(ds, cfg)
     assert log[-1]["loss"] < 1e-2
-    metrics = evaluate(model, ds, min_timed_passes=1)
+    monkeypatch.setattr(mtl, "MIN_TIMED_PASSES", 1)
+    metrics = evaluate(model, ds)
     assert metrics.class_accuracy == 1.0
 
 
@@ -248,9 +249,10 @@ def test_unknown_decision_source_rejected(trained, small_ds):
         evaluate(model, small_ds, decision_source="both")
 
 
-def test_evaluate_against_oracle(trained, small_ds):
+def test_evaluate_against_oracle(trained, small_ds, monkeypatch):
     model, _ = trained
-    metrics = evaluate(model, small_ds, min_timed_passes=1)
+    monkeypatch.setattr(mtl, "MIN_TIMED_PASSES", 1)
+    metrics = evaluate(model, small_ds)
     assert 0.0 <= metrics.class_accuracy <= 1.0
     assert metrics.reg_mse >= 0.0
     assert metrics.mean_inference_time > 0.0
@@ -269,7 +271,8 @@ def test_evaluate_times_the_median_repeat(trained, small_ds, monkeypatch):
 
     monkeypatch.setattr(mtl, "_decide", decide_on_fake_clock)
     monkeypatch.setattr(mtl, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
-    metrics = evaluate(model, small_ds, min_timed_passes=2 * small_ds.n_samples)
+    monkeypatch.setattr(mtl, "MIN_TIMED_PASSES", 2 * small_ds.n_samples)
+    metrics = evaluate(model, small_ds)
     assert clock["calls"] == 1 + mtl.TIMED_REPEATS * 2
     assert metrics.mean_inference_time == 2.0 / (2 * small_ds.n_samples)
 

@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -26,6 +27,24 @@ def test_cli_examples_parse():
         args = parser.parse_args(shlex.split(line)[1:])
         commands.add(args.command)
     assert commands == {"generate", "label", "train", "eval", "solve", "split-plan", "experiment"}
+
+
+def test_cli_table_matches_the_parser():
+    """Each row of the README's command table lists exactly its subparser's
+    positionals, options and required options."""
+    section = README.read_text(encoding="utf-8").split("| command | options |", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", section.split("\n\n", 1)[0], re.M)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert [usage.split()[0] for usage, _ in rows] == list(subparsers)
+    for usage, options in rows:
+        command, *positionals = usage.split()
+        actions = [a for a in subparsers[command]._actions if "--help" not in a.option_strings]
+        assert positionals == [a.dest.upper() for a in actions if not a.option_strings]
+        assert re.findall(r"`(--[\w-]+)`", options) == [
+            opt for a in actions for opt in a.option_strings], command
+        assert re.findall(r"`(--[\w-]+)` \(required\)", options) == [
+            opt for a in actions if a.required for opt in a.option_strings], command
 
 
 def test_experiment_config_examples_resolve(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeoffload import kernels
-from edgeoffload.errors import ConfigError, SizeLimitError, ValidationError
+from edgeoffload.errors import ConfigError, ValidationError
 from edgeoffload.model import (
     DEFAULT_RANGES,
     CostWeights,
@@ -32,7 +32,6 @@ from edgeoffload.solvers import (
     read_labels,
     solve_batch,
     solve_exhaustive,
-    solve_grid,
     solve_sbb,
     write_labels,
 )
@@ -123,29 +122,23 @@ def test_sbb_budgeted_cost_never_below_optimum():
         assert budgeted.solution.cost >= exact.solution.cost - 1e-12
 
 
-def test_grid_converges_to_exhaustive():
-    inst = generate_instances(3, 1, seed=41)[0]
-    exact = solve_exhaustive(inst).solution.cost
-    gaps = [solve_grid(inst, step).solution.cost - exact for step in (0.5, 0.1, 0.02)]
-    assert all(g >= -1e-9 for g in gaps)
-    assert gaps[-1] <= gaps[0]
-    assert gaps[-1] < 1e-3 * exact
-
-
-def test_grid_never_beats_exhaustive():
-    for inst in generate_instances(2, 25, seed=42):
-        assert solve_grid(inst, 0.05).solution.cost >= solve_exhaustive(inst).solution.cost - 1e-12
-
-
-def test_grid_combination_guard():
-    inst = generate_instances(8, 1, seed=43)[0]
-    with pytest.raises(SizeLimitError):
-        solve_grid(inst, 1e-3)
-
-
 def test_solve_batch_rejects_unknown_solver():
     with pytest.raises(ConfigError):
         solve_batch(generate_instances(2, 1), "newton")
+
+
+def test_node_budget_is_read_by_sbb_or_refused():
+    instances = generate_instances(8, 3, seed=44)
+    budgeted = solve_batch(instances, "sbb", max_nodes=2)
+    assert [r.nodes_explored for r in budgeted] == [
+        solve_sbb(inst, SbbConfig(max_nodes=2)).nodes_explored for inst in instances]
+    assert label_instances(instances, "sbb", max_nodes=2).cost.tolist() == [
+        r.solution.cost for r in budgeted]
+    for call in (solve_batch, label_instances):
+        with pytest.raises(ConfigError):
+            call(instances, "exhaustive", max_nodes=16)
+        with pytest.raises(ConfigError):
+            call(instances, "sbb", max_nodes=0)
 
 
 def test_label_instances_matches_exhaustive():

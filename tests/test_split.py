@@ -41,6 +41,13 @@ def test_segment_cost_golden(scenario):
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [-1, 7])
+def test_segment_cost_rejects_a_split_outside_the_network(scenario, k):
+    assert scenario.profile.n_layers == 6
+    with pytest.raises(InvalidParameterError, match="out of range 0..6"):
+        segment_cost(scenario, k, 0.0)
+
+
 def test_output_size_layer_zero_is_input(scenario):
     assert scenario.profile.output_size(0) == scenario.profile.input_size
 
