@@ -332,6 +332,7 @@ def test_unread_option_is_a_usage_error(tmp_path, monkeypatch, command, flag):
 
 @pytest.mark.parametrize("solver_args", [
     ["--solver", "exhaustive"],
+    ["--solver", "sbb", "--max-nodes", "100000"],
     ["--solver", "sbb"],
 ])
 def test_solve_out_writes_the_label_file(tmp_path, solver_args):
