@@ -30,6 +30,7 @@ from .split import (
     LayerProfile,
     best_split,
     eta_sweep,
+    eta_sweep_csv,
     segment_cost,
     strategy_cost,
 )

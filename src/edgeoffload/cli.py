@@ -7,23 +7,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .config import offload_config, read_kv_file, split_scenario, train_config
 from .errors import ConfigError, EdgeOffloadError, FileFormatError, ValidationError
-from .experiments import (
-    EXPERIMENT_KINDS,
-    ExperimentSpec,
-    _eta_sweep_csv,
-    replay_manifest,
-    run_experiment,
-)
+from .experiments import EXPERIMENT_KINDS, ExperimentSpec, replay_manifest, run_experiment
 from .model import generate_instances, read_instances, write_instances
 from .mtl import evaluate, load_model, save_model, train, write_training_log
 from .solvers import SOLVERS, SbbConfig, label_instances, read_labels, solve_batch, write_labels
-from .split import best_split, local_joint_crossover, strategy_cost
+from .split import STRATEGIES, best_split, eta_sweep_csv, local_joint_crossover, strategy_cost
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -51,17 +44,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _label_to_file(args, workers: int = 1) -> int:
+def cmd_label(args) -> int:
     instances = read_instances(args.instances)
     ds = label_instances(instances, solver=args.solver, max_nodes=args.max_nodes,
-                         workers=workers)
+                         workers=args.workers)
     write_labels(args.out, ds)
     print(f"labeled {len(instances)} instances with {args.solver} -> {args.out}")
     return EXIT_OK
-
-
-def cmd_label(args) -> int:
-    return _label_to_file(args, workers=args.workers)
 
 
 def cmd_train(args) -> int:
@@ -88,8 +77,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.out is not None:
-        return _label_to_file(args)
     instances = read_instances(args.instances)
     for i, rep in enumerate(solve_batch(instances, args.solver, args.max_nodes)):
         sol = rep.solution
@@ -102,18 +89,20 @@ def cmd_solve(args) -> int:
 
 def cmd_split_plan(args) -> int:
     scenario, eta_step = split_scenario(_read_cfg(args))
+    # every value is computed before the first line prints
     k, cost = best_split(scenario)
-    print(f"best split point k={k} (offload-path cost {cost:.6g})")
-    at_eta = replace(scenario, eta=args.eta)
-    for name in ("local", "edge", "joint"):
-        print(f"cost_{name}@eta={args.eta:g} {strategy_cost(at_eta, name):.6g}")
+    costs = {name: strategy_cost(scenario, name, args.eta) for name in STRATEGIES}
     eta_star = local_joint_crossover(scenario)
+    sweep = None if args.out is None else eta_sweep_csv(scenario, eta_step)
+    print(f"best split point k={k} (offload-path cost {cost:.6g})")
+    for name, value in costs.items():
+        print(f"cost_{name}@eta={args.eta:g} {value:.6g}")
     if eta_star is None:
         print("local/joint crossover: none in [0, 1]")
     else:
         print(f"local/joint crossover eta* = {eta_star:.6g}")
-    if args.out is not None:
-        Path(args.out).write_text(_eta_sweep_csv(scenario, eta_step), encoding="utf-8")
+    if sweep is not None:
+        Path(args.out).write_text(sweep, encoding="utf-8")
         print(f"eta sweep -> {args.out}")
     return EXIT_OK
 
@@ -184,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decision-source", choices=("class", "reg"), default="class")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("solve", help="solve instances and print or save solutions")
+    p = sub.add_parser("solve", help="solve instances and print their solutions")
     p.add_argument("instances", type=Path)
-    p.add_argument("--out", type=Path, help="label file to write instead of printing")
     _solver_flags(p)
     p.set_defaults(fn=cmd_solve)
 

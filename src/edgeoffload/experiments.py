@@ -19,7 +19,7 @@ from .errors import ConfigError, EdgeOffloadError
 from .model import MAX_VEHICLES, generate_instances
 from .mtl import TrainConfig, evaluate, solver_metrics, train
 from .solvers import SbbConfig, label_instances, solve_sbb
-from .split import InferenceScenario, eta_sweep
+from .split import InferenceScenario, eta_sweep_csv
 
 # the experiment.* keys each kind reads, with their defaults
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
@@ -165,15 +165,6 @@ class _Stages:
         return path
 
 
-def _eta_sweep_csv(scenario: InferenceScenario, eta_step: float) -> str:
-    """The fig6 CSV: the three strategy costs on the grid 0, eta_step, ..., 1."""
-    n_steps = int(round(1.0 / eta_step))
-    records = eta_sweep(scenario, [min(1.0, i * eta_step) for i in range(n_steps + 1)])
-    return "eta,cost_local,cost_edge,cost_joint\n" + "".join(
-        f"{r.eta!r},{r.cost_local!r},{r.cost_edge!r},{r.cost_joint!r}\n" for r in records
-    )
-
-
 def _gnuplot(csv_name: str, ylabel: str, columns: list[tuple[int, str]]) -> str:
     plots = ", ".join(
         f"'{csv_name}' using 1:{col} with linespoints title '{title}'" for col, title in columns
@@ -248,7 +239,7 @@ def _run_fig5b(stages: _Stages, *, seed: int, ranges: dict[str, tuple[float, flo
 
 
 def _run_fig6(stages: _Stages, *, scenario: InferenceScenario, eta_step: float) -> None:
-    stages.emit("fig6.csv", stages.run("sweep", lambda: _eta_sweep_csv(scenario, eta_step)))
+    stages.emit("fig6.csv", stages.run("sweep", lambda: eta_sweep_csv(scenario, eta_step)))
     stages.emit("fig6.gp", _gnuplot("fig6.csv", "expected weighted-sum cost",
                                     [(2, "local"), (3, "edge"), (4, "joint")]))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -391,23 +392,26 @@ def label_instances(
     """Solve every instance and assemble (features, label) rows in input order.
 
     The batch must be non-empty and share one N.  ``max_nodes`` is sbb's
-    node budget, as in ``solve_batch``.
+    node budget, as in ``solve_batch``.  ``workers`` (at least 1) caps the
+    processes; no more start than there are CPUs or instances.
     """
     _sbb_config(solver, max_nodes)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if not instances:
         raise ValidationError("no instances to label")
     features = batch_features(instances)
-    if workers > 1 and len(instances) > 1:
+    procs = min(workers, os.cpu_count() or 1, len(instances))
+    if procs > 1:
         # imported here: the pool's modules add about 2 MB to every process
         # that imports the package, and only this branch uses them
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = np.array_split(np.arange(len(instances)), workers)
         jobs = [
             ([instances[i] for i in idx], features[idx], solver, max_nodes)
-            for idx in chunks if len(idx)
+            for idx in np.array_split(np.arange(len(instances)), procs)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             parts = list(pool.map(_label_chunk, jobs))
         decision, alloc, cost = (np.concatenate(col) for col in zip(*parts))
     else:

@@ -10,7 +10,7 @@ joint comparison curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidParameterError, ValidationError
 from .model import CostWeights, EdgeParams, VehicleParams, uplink_rate
@@ -41,10 +41,6 @@ class LayerProfile:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def output_size(self, k: int) -> float:
-        """Bytes crossing the split after layer k; k=0 is the raw input."""
-        return self.input_size if k == 0 else self.layers[k - 1][1]
-
 
 @dataclass(frozen=True)
 class AccuracyModel:
@@ -74,15 +70,12 @@ class InferenceScenario:
     profile: LayerProfile
     acc: AccuracyModel
     split_index: int
-    eta: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.split_index <= self.profile.n_layers:
             raise InvalidParameterError(
                 f"split_index must be in 0..{self.profile.n_layers}, got {self.split_index}"
             )
-        if not 0.0 <= self.eta <= 1.0:
-            raise InvalidParameterError(f"eta must be in [0, 1], got {self.eta!r}")
 
 
 @dataclass(frozen=True)
@@ -97,19 +90,20 @@ class EtaSweepRecord:
 # per-frame path costs
 # ---------------------------------------------------------------------------
 
-def segment_cost(sc: InferenceScenario, k: int, upload_bytes: float) -> float:
-    """Cost of running layers 1..k locally, uploading, and finishing on edge."""
+def segment_cost(sc: InferenceScenario, k: int) -> float:
+    """Cost of running layers 1..k locally, uploading what crosses the split
+    (the raw input at k=0, layer k's output for 0 < k < L, nothing at k=L)
+    and finishing on edge."""
     L = sc.profile.n_layers
     if not 0 <= k <= L:
         raise InvalidParameterError(f"split index {k} out of range 0..{L}")
-    if upload_bytes < 0:
-        raise InvalidParameterError("upload_bytes must be >= 0")
     w = sc.weights
     v = sc.vehicle
     local_cycles = sum(c for c, _ in sc.profile.layers[:k])
     edge_cycles = sum(c for c, _ in sc.profile.layers[k:])
     tx_delay = 0.0
-    if upload_bytes > 0:
+    if k < L:
+        upload_bytes = sc.profile.layers[k - 1][1] if k else sc.profile.input_size
         tx_delay = BITS_PER_BYTE * upload_bytes / uplink_rate(v, sc.edge)
     delay = local_cycles / v.local_freq + tx_delay + edge_cycles / sc.edge.edge_freq
     energy = w.kappa * v.local_freq**2 * local_cycles + v.tx_power * tx_delay
@@ -127,19 +121,12 @@ def _snn_only_cost(sc: InferenceScenario, k: int) -> float:
 def best_split(sc: InferenceScenario) -> tuple[int, float]:
     """Split point minimizing the full offload-path cost; ties take the
     smallest k.  k=L uploads nothing (pure local execution)."""
-    L = sc.profile.n_layers
-    best_k = 0
-    best_cost = math.inf
-    for k in range(L + 1):
-        upload = 0.0 if k == L else sc.profile.output_size(k)
-        cost = segment_cost(sc, k, upload)
-        if cost < best_cost:
-            best_k, best_cost = k, cost
-    return best_k, best_cost
+    cost, k = min((segment_cost(sc, k), k) for k in range(sc.profile.n_layers + 1))
+    return k, cost
 
 
-def strategy_cost(sc: InferenceScenario, strategy: str) -> float:
-    """Expected per-frame cost of one inference strategy at the scenario's eta.
+def strategy_cost(sc: InferenceScenario, strategy: str, eta: float) -> float:
+    """Expected per-frame cost of one inference strategy at bad-data ratio eta.
 
     local: the vehicle runs the entire network; good frames reach full
     accuracy, bad frames degrade the on-vehicle pipeline to the shallow-bad
@@ -147,21 +134,20 @@ def strategy_cost(sc: InferenceScenario, strategy: str) -> float:
     joint: good frames exit locally at the shallow stack, bad frames offload
     the intermediate feature map (quality gating is assumed perfect).
     """
+    if not 0.0 <= eta <= 1.0:
+        raise InvalidParameterError(f"eta must be in [0, 1], got {eta!r}")
     acc = sc.acc
     mp = acc.miss_penalty
-    eta = sc.eta
     if strategy == "local":
-        compute = segment_cost(sc, sc.profile.n_layers, 0.0)
+        compute = segment_cost(sc, sc.profile.n_layers)
         penalty = eta * (1.0 - acc.acc_snn_bad) + (1.0 - eta) * (1.0 - acc.acc_full)
         return compute + mp * penalty
     if strategy == "edge":
-        compute = segment_cost(sc, 0, sc.profile.input_size)
-        return compute + mp * (1.0 - acc.acc_full)
+        return segment_cost(sc, 0) + mp * (1.0 - acc.acc_full)
     if strategy == "joint":
         k = sc.split_index
-        upload = 0.0 if k == sc.profile.n_layers else sc.profile.output_size(k)
         good = _snn_only_cost(sc, k) + mp * (1.0 - acc.acc_snn_good)
-        bad = segment_cost(sc, k, upload) + mp * (1.0 - acc.acc_full)
+        bad = segment_cost(sc, k) + mp * (1.0 - acc.acc_full)
         return (1.0 - eta) * good + eta * bad
     raise ConfigError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
@@ -169,31 +155,33 @@ def strategy_cost(sc: InferenceScenario, strategy: str) -> float:
 def eta_sweep(sc: InferenceScenario, etas) -> list[EtaSweepRecord]:
     """Closed-form expected costs of the three strategies over an eta grid."""
     etas = list(etas)
-    for e in etas:
-        if not 0.0 <= e <= 1.0:
-            raise InvalidParameterError(f"eta must be in [0, 1], got {e!r}")
     if any(b < a for a, b in zip(etas, etas[1:])):
         raise ValidationError("etas must be sorted ascending")
-    out = []
-    for e in etas:
-        at = replace(sc, eta=e)
-        out.append(
-            EtaSweepRecord(
-                eta=e,
-                cost_local=strategy_cost(at, "local"),
-                cost_edge=strategy_cost(at, "edge"),
-                cost_joint=strategy_cost(at, "joint"),
-            )
+    return [
+        EtaSweepRecord(
+            eta=e,
+            cost_local=strategy_cost(sc, "local", e),
+            cost_edge=strategy_cost(sc, "edge", e),
+            cost_joint=strategy_cost(sc, "joint", e),
         )
-    return out
+        for e in etas
+    ]
+
+
+def eta_sweep_csv(sc: InferenceScenario, eta_step: float) -> str:
+    """The fig6 CSV: the three strategy costs on the grid 0, eta_step, ..., 1."""
+    n_steps = int(round(1.0 / eta_step))
+    records = eta_sweep(sc, [min(1.0, i * eta_step) for i in range(n_steps + 1)])
+    return "eta,cost_local,cost_edge,cost_joint\n" + "".join(
+        f"{r.eta!r},{r.cost_local!r},{r.cost_edge!r},{r.cost_joint!r}\n" for r in records
+    )
 
 
 def local_joint_crossover(sc: InferenceScenario) -> float | None:
     """Eta where the local and joint cost lines intersect, if inside [0, 1]."""
 
     def diff(eta: float) -> float:
-        at = replace(sc, eta=eta)
-        return strategy_cost(at, "local") - strategy_cost(at, "joint")
+        return strategy_cost(sc, "local", eta) - strategy_cost(sc, "joint", eta)
 
     d0, d1 = diff(0.0), diff(1.0)
     if d0 == d1:

@@ -12,6 +12,7 @@ from edgeoffload.cli import (
     main,
 )
 from edgeoffload.errors import ValidationError
+from edgeoffload.solvers import SbbConfig
 
 
 def _run(*argv):
@@ -60,8 +61,12 @@ def test_solve_with_budget(tmp_path, capsys):
     assert "optimal=False" in capsys.readouterr().out
 
 
+# the second case, a budget as large as sbb's default, takes the slot of the
+# deleted solve --out case; the last --max-nodes on the command line wins
 @pytest.mark.parametrize("command, out_args", [
-    ("label", ["--out", "x.csv"]), ("solve", ["--out", "x.csv"]), ("solve", []),
+    ("label", ["--out", "x.csv"]),
+    ("solve", ["--max-nodes", str(SbbConfig().max_nodes)]),
+    ("solve", []),
 ])
 def test_budget_for_the_exhaustive_solver_is_a_config_error(tmp_path, monkeypatch, capsys,
                                                             command, out_args):
@@ -86,6 +91,25 @@ def test_split_plan_defaults(capsys):
     out = capsys.readouterr().out
     assert "best split point" in out
     assert "crossover" in out
+
+
+def test_split_plan_eta_outside_the_unit_interval_prints_nothing(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    assert _run("split-plan", "--eta", "1.5", "--out", str(sweep)) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and "eta must be in [0, 1]" in err
+    assert not sweep.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_label_workers_below_one_is_a_config_error(tmp_path, capsys, workers):
+    inst, labels = tmp_path / "inst.txt", tmp_path / "labels.csv"
+    assert _run("generate", "--count", "3", "--out", str(inst)) == EXIT_OK
+    capsys.readouterr()
+    assert _run("label", str(inst), "--workers", workers, "--out", str(labels)) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert not out and "workers must be >= 1" in err
+    assert not labels.exists()
 
 
 def test_exit_code_config_error(tmp_path):
@@ -320,7 +344,7 @@ _BASE_ARGV = {
     ("eval", "--config"), ("eval", "--seed"), ("eval", "--out"), ("eval", "--workers"),
     ("solve", "--config"), ("solve", "--seed"), ("solve", "--workers"),
     ("split-plan", "--seed"), ("split-plan", "--workers"),
-    ("label", "--grid-step"), ("solve", "--grid-step"),
+    ("label", "--grid-step"), ("solve", "--grid-step"), ("solve", "--out"),
 ])
 def test_unread_option_is_a_usage_error(tmp_path, monkeypatch, command, flag):
     monkeypatch.chdir(tmp_path)
@@ -330,18 +354,23 @@ def test_unread_option_is_a_usage_error(tmp_path, monkeypatch, command, flag):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("solver_args", [
-    ["--solver", "exhaustive"],
-    ["--solver", "sbb", "--max-nodes", "100000"],
-    ["--solver", "sbb"],
-])
-def test_solve_out_writes_the_label_file(tmp_path, solver_args):
-    inst = tmp_path / "inst.txt"
-    labeled, solved = tmp_path / "labeled.csv", tmp_path / "solved.csv"
-    assert _run("generate", "--count", "25", "--seed", "9", "--out", str(inst)) == EXIT_OK
-    assert _run("label", str(inst), *solver_args, "--out", str(labeled)) == EXIT_OK
-    assert _run("solve", str(inst), *solver_args, "--out", str(solved)) == EXIT_OK
-    assert solved.read_bytes() == labeled.read_bytes()
+@pytest.mark.parametrize("n_vehicles", [2, 5, 8])
+def test_label_sbb_writes_the_exhaustive_label_file(tmp_path, n_vehicles):
+    """Exact sBB, with the default node budget and with an explicit one,
+    writes the exhaustive solver's label file byte for byte."""
+    inst, cfg = tmp_path / "inst.txt", tmp_path / "o.cfg"
+    cfg.write_text(f"n_vehicles = {n_vehicles}\n")
+    assert _run("generate", "--count", "25", "--seed", "9", "--config", str(cfg),
+                "--out", str(inst)) == EXIT_OK
+
+    def label_bytes(name, *solver_args):
+        out = tmp_path / f"{name}.csv"
+        assert _run("label", str(inst), *solver_args, "--out", str(out)) == EXIT_OK
+        return out.read_bytes()
+
+    exhaustive = label_bytes("exhaustive", "--solver", "exhaustive")
+    assert label_bytes("sbb", "--solver", "sbb") == exhaustive
+    assert label_bytes("budget", "--solver", "sbb", "--max-nodes", "100000") == exhaustive
 
 
 @pytest.mark.parametrize("kind", ["fig6-eta", "fig5b-n-avs"])

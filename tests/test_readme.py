@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 
 from edgeoffload.cli import build_parser
+from edgeoffload.config import default_config_text, parse_kv_text
 from edgeoffload.experiments import EXPERIMENT_KINDS, ExperimentSpec, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,3 +59,13 @@ def test_experiment_config_examples_resolve(tmp_path):
         resolve_config(ExperimentSpec(kind=kind, out_dir=tmp_path / kind,
                                       config_text=config_text))
     assert not list(tmp_path.iterdir())
+
+
+def test_split_keys_match_the_shipped_config():
+    """The README's split bullet names exactly the keys of the shipped
+    split_default.cfg, with its layerN.* keys written as layerK.*."""
+    bullet = README.read_text(encoding="utf-8").split("- **split** —", 1)[1].split("\n- ", 1)[0]
+    documented = set(re.findall(r"`([\w.]+)`", bullet.split("Keys:", 1)[1]))
+    shipped = {re.sub(r"^layer\d+\.", "layerK.", key)
+               for key in parse_kv_text(default_config_text("split"), "split_default.cfg")}
+    assert documented == shipped

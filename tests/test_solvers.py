@@ -1,5 +1,7 @@
+import concurrent.futures
 import heapq
 import math
+import os
 
 import numpy as np
 import pytest
@@ -215,6 +217,50 @@ def test_label_instances_parallel_order_preserved():
     parallel = label_instances(instances, workers=3)
     np.testing.assert_array_equal(serial.decision, parallel.decision)
     np.testing.assert_allclose(serial.features, parallel.features, rtol=0)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no
+    process and maps in this one."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        assert len(jobs) == self.sizes[-1]
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, n_instances, pool_size", [
+    (1000, 60, 4),  # bounded by the CPU count
+    (1000, 3, 3),   # bounded by the instance count
+    (2, 60, 2),
+    (1, 60, None),  # serial: no pool
+])
+def test_label_instances_bounds_its_pool(monkeypatch, workers, n_instances, pool_size):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    instances = generate_instances(2, n_instances, seed=55)
+    ds = label_instances(instances, workers=workers)
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    serial = batch_solve_exhaustive(instances)
+    np.testing.assert_array_equal(ds.cost, [r.solution.cost for r in serial])
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_label_instances_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        label_instances(generate_instances(2, 3), workers=workers)
 
 
 def test_labels_io_roundtrip(tmp_path):
