@@ -69,7 +69,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = read_labels(args.labels)
-    metrics = evaluate(model, ds, decision_source=args.decision_source)
+    metrics = evaluate(model, ds)
     print(f"accuracy  {metrics.class_accuracy:.4f}")
     print(f"alloc_mse {metrics.reg_mse:.6g}")
     print(f"mean_inference_s {metrics.mean_inference_time:.3e}")
@@ -170,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a trained model on a labeled dataset")
     p.add_argument("model", type=Path)
     p.add_argument("labels", type=Path)
-    p.add_argument("--decision-source", choices=("class", "reg"), default="class")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("solve", help="solve instances and print their solutions")

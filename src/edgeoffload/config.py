@@ -188,6 +188,7 @@ def split_scenario(kv: dict[str, str] | None = None) -> tuple[InferenceScenario,
         split_index=as_int(kv, "split_index"),
     )
     eta_step = as_float(kv, "eta_step")
-    if not 0.0 < eta_step <= 1.0:
-        raise ConfigError(f"eta_step must be in (0, 1], got {eta_step!r}")
+    if not 0.0 < eta_step <= 1.0 or abs(round(1.0 / eta_step) * eta_step - 1.0) > 1e-9:
+        raise ConfigError("eta_step must be in (0, 1] and divide 1 into equal steps, "
+                          f"got {eta_step!r}")
     return scenario, eta_step

@@ -128,8 +128,6 @@ def resolve_config(spec: ExperimentSpec) -> dict:
         runs = [(frac, train_config(fams["train"], train_fraction=frac, seed=spec.seed))
                 for frac in exp["fractions"]]
         return {**data, "n_vehicles": n_vehicles, "runs": runs}
-    # past 5 vehicles the classifier target is dropped (chi_c = 0) and
-    # decisions come from thresholding the regression head
     runs = [(n, train_config(fams["train"], chi_c=0.0 if n > 5 else 1.0, chi_r=1.0,
                              seed=spec.seed, hidden_sizes=(64, 64) if n > 5 else (32, 32)))
             for n in exp["n_list"]]
@@ -218,9 +216,7 @@ def _run_fig5b(stages: _Stages, *, seed: int, ranges: dict[str, tuple[float, flo
 
         train_insts, test_insts, ds, test_ds = stages.run(f"label@N={n}", make_data)
         model, _ = stages.run(f"train@N={n}", lambda: train(ds, cfg))
-        # a model trained without the classifier target decides by its regression head
-        source = "reg" if cfg.chi_c == 0.0 else "class"
-        mtl_metrics = evaluate(model, test_ds, decision_source=source)
+        mtl_metrics = evaluate(model, test_ds)
         sbb_reports = stages.run(
             f"sbb@N={n}", lambda: [solve_sbb(inst, sbb) for inst in test_insts]
         )

@@ -2,9 +2,10 @@
 
 Shared ReLU trunk, a softmax head over the 2^N joint decisions and a linear
 regression head for the edge-CPU fractions (clamped to >= 0 and renormalized
-when the sum exceeds 1).  Training is plain mini-batch Adam with hand-written
-backpropagation in float64; models serialize as float32 to stay under the
-2 KB budget for the default N=2 shape.
+when the sum exceeds 1); a ``chi_c = 0`` model holds no softmax head.
+Training is plain mini-batch Adam with hand-written backpropagation in
+float64; weights serialize as float32 to stay under the 2 KB budget for the
+default N=2 shape.
 """
 from __future__ import annotations
 
@@ -22,19 +23,22 @@ from .model import (MAX_VEHICLES, OffloadInstance, OffloadSolution, feature_coun
                     raw_features, total_cost)
 from .solvers import LabeledDataset, decisions_to_mask, mask_to_decisions, optimal_allocation
 
-MODEL_FILE_HEADER = b"mtl-model v1\n"
+MODEL_FILE_HEADER = b"mtl-model v2\n"
 DEFAULT_HIDDEN = (12, 12)  # largest symmetric pair keeping the N=2 file <= 2048 B
 TIMED_REPEATS = 5  # evaluate() reports the median of this many timed repeats
 MIN_TIMED_PASSES = 1000  # and each repeat decides at least this many rows
 
 
-def _param_shapes(n_vehicles: int, hidden_sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _param_shapes(
+    n_vehicles: int, hidden_sizes: tuple[int, ...], has_class_head: bool
+) -> list[tuple[int, ...]]:
     """Shape of every parameter tensor, in ``MtlModel.weights`` order:
-    (W, b) per trunk layer, then the class head and the regression head."""
+    (W, b) per trunk layer, then the class head if held and the regression head."""
     sizes = [feature_count(n_vehicles), *hidden_sizes]
     trunk = [s for d_in, d_out in zip(sizes, sizes[1:]) for s in ((d_in, d_out), (d_out,))]
     h, n_classes = sizes[-1], 1 << n_vehicles
-    return [*trunk, (h, n_classes), (n_classes,), (h, n_vehicles), (n_vehicles,)]
+    head = [(h, n_classes), (n_classes,)] if has_class_head else []
+    return [*trunk, *head, (h, n_vehicles), (n_vehicles,)]
 
 
 @dataclass
@@ -43,7 +47,8 @@ class MtlModel:
 
     ``weights`` is the model: every parameter in one flat float64 array, in
     ``_param_shapes`` order.  ``trunk`` (a (W, b) pair per dense layer),
-    ``class_head`` and ``reg_head`` are views of it, bound at construction.
+    ``class_head`` and ``reg_head`` are views of it, bound at construction;
+    ``class_head`` is ``None`` for a model without one.
     """
 
     n_vehicles: int
@@ -51,6 +56,7 @@ class MtlModel:
     feature_mean: np.ndarray
     feature_std: np.ndarray
     weights: np.ndarray
+    has_class_head: bool = True
 
     def __post_init__(self) -> None:
         d = feature_count(self.n_vehicles)
@@ -58,13 +64,14 @@ class MtlModel:
             raise ShapeError("normalization stats do not match the feature count")
         if np.any(self.feature_std <= 0.0):
             raise ValidationError("feature_std entries must be > 0")
-        shapes = _param_shapes(self.n_vehicles, self.hidden_sizes)
+        shapes = _param_shapes(self.n_vehicles, self.hidden_sizes, self.has_class_head)
         bounds = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
         if self.weights.shape != (bounds[-1],):
             raise ShapeError(f"expected {bounds[-1]} weights, got shape {self.weights.shape}")
         views = iter(self.weights[a:b].reshape(s) for s, a, b in zip(shapes, bounds, bounds[1:]))
         pairs = list(zip(views, views))  # (W, b) per layer
-        self.trunk, self.class_head, self.reg_head = pairs[:-2], pairs[-2], pairs[-1]
+        self.trunk, self.reg_head = pairs[: len(self.hidden_sizes)], pairs[-1]
+        self.class_head = pairs[-2] if self.has_class_head else None
 
 
 @dataclass(frozen=True)
@@ -128,6 +135,13 @@ def normalize(features: np.ndarray, model: MtlModel) -> np.ndarray:
 # forward / backward passes
 # ---------------------------------------------------------------------------
 
+def _class_head(model: MtlModel) -> tuple[np.ndarray, np.ndarray]:
+    if model.class_head is None:
+        raise ConfigError("the model has no class head (it was trained with chi_c = 0); "
+                          "decide by its regression head, decision_source 'reg'")
+    return model.class_head
+
+
 def _project_alloc(y: np.ndarray) -> np.ndarray:
     """Clamp to >= 0, renormalize rows whose sum exceeds 1."""
     r = np.maximum(y, 0.0)
@@ -156,7 +170,7 @@ def forward(
     y = h @ wr + br
     logits = None
     if with_class:
-        wc, bc = model.class_head
+        wc, bc = _class_head(model)
         logits = h @ wc + bc
     return logits, y, _project_alloc(y)
 
@@ -175,7 +189,7 @@ def loss_and_grads(
 
     Returns (loss, ce_term, mse_term).  The class head takes part only when
     ``chi_c != 0``; at ``chi_c == 0`` ``ce_term`` is nan (not computed) and
-    ``grad.class_head`` is left as it was passed in.
+    ``grad.class_head``, if the model holds one, is left as it was passed in.
     """
     batch = x.shape[0]
     if batch == 0:
@@ -239,15 +253,21 @@ def _init_model(
     mean: np.ndarray,
     std: np.ndarray,
     rng: np.random.Generator,
+    has_class_head: bool = True,
 ) -> MtlModel:
-    n_weights = sum(math.prod(s) for s in _param_shapes(n_vehicles, hidden_sizes))
-    model = MtlModel(n_vehicles, tuple(hidden_sizes), mean, std, np.zeros(n_weights))
+    n_weights = sum(math.prod(s) for s in _param_shapes(n_vehicles, hidden_sizes, has_class_head))
+    model = MtlModel(n_vehicles, hidden_sizes, mean, std, np.zeros(n_weights), has_class_head)
     for w, b in model.trunk:
         w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
         # small positive bias keeps dead units off the exact ReLU kink
         b[...] = 0.01
-    (wc, _), (wr, br) = model.class_head, model.reg_head
-    wc[...] = rng.normal(0.0, np.sqrt(1.0 / wc.shape[0]), size=wc.shape)
+    # the class head is drawn also when it is not kept, so wr gets the same normals
+    wr, br = model.reg_head
+    h, rows = wr.shape[0], max(1, CHUNK_BYTES // (8 << n_vehicles))
+    for i in range(0, h, rows):
+        block = rng.normal(0.0, np.sqrt(1.0 / h), size=(min(rows, h - i), 1 << n_vehicles))
+        if has_class_head:
+            model.class_head[0][i : i + rows] = block
     wr[...] = rng.normal(0.0, np.sqrt(1.0 / wr.shape[0]), size=wr.shape)
     # positive bias keeps the alloc clamp from starting in the dead region
     br[...] = 0.5 / n_vehicles
@@ -287,8 +307,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
     """Mini-batch Adam on the weighted cross-entropy + MSE loss.
 
     Deterministic in ``cfg.seed``; the returned log has one entry per epoch
-    with the mean total/ce/mse terms over that epoch's batches; at
-    ``chi_c == 0`` the class head keeps its initial weights.
+    with the mean total/ce/mse terms over that epoch's batches.  At
+    ``chi_c == 0`` the returned model has no class head.
     """
     if ds.n_samples == 0:
         raise ValidationError("training dataset is empty")
@@ -303,13 +323,9 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
     alloc = ds.alloc[train_idx]
 
     rng = np.random.default_rng(cfg.seed + 1)
-    model = _init_model(n, tuple(cfg.hidden_sizes), mean, std, rng)
+    model = _init_model(n, tuple(cfg.hidden_sizes), mean, std, rng, cfg.chi_c != 0.0)
     grad = replace(model, weights=np.zeros_like(model.weights))  # views in its layout
     m_state, v_state, work = (np.zeros_like(model.weights) for _ in range(3))
-    n_class, n_reg = (w.size + b.size for w, b in (model.class_head, model.reg_head))
-    live = [np.s_[: -n_class - n_reg], np.s_[-n_reg:]] if cfg.chi_c == 0.0 else [np.s_[:]]
-    adam_slices = [(model.weights[s], grad.weights[s], m_state[s], v_state[s], work[s])
-                   for s in live]
     t = 0
     log: list[dict] = []
     n_train = x.shape[0]
@@ -331,8 +347,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
             lr_t = cfg.learning_rate * (
                 np.sqrt(1.0 - cfg.adam_beta2**t) / (1.0 - cfg.adam_beta1**t)
             )
-            for views in adam_slices:
-                _adam_step(*views, lr_t, cfg)
+            _adam_step(model.weights, grad.weights, m_state, v_state, work, lr_t, cfg)
             tot += value
             ce_sum += ce
             mse_sum += mse
@@ -353,15 +368,18 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
 # ---------------------------------------------------------------------------
 
 def _decide(
-    model: MtlModel, x: np.ndarray, decision_source: str
+    model: MtlModel, x: np.ndarray, decision_source: str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Offload masks and projected allocs for normalized rows ``x``.
 
     ``"class"`` takes the classifier's argmax (softmax is monotone, and the
     first hit on ties is the lowest mask), with the 2^N-wide logits made in
     row blocks of at most ``CHUNK_BYTES``; ``"reg"`` offloads vehicle i when
-    its regression output exceeds 0.5/N.  Mask bit N-1-i is vehicle i.
+    its regression output exceeds 0.5/N; ``None`` picks the class head if the
+    model holds one.  Mask bit N-1-i is vehicle i.
     """
+    if decision_source is None:
+        decision_source = "reg" if model.class_head is None else "class"
     if decision_source not in ("class", "reg"):
         raise ConfigError(f"unknown decision_source {decision_source!r}")
     acts: list[np.ndarray] = []
@@ -369,7 +387,7 @@ def _decide(
     n = model.n_vehicles
     if decision_source == "reg":
         return (alloc > 0.5 / n) @ (1 << np.arange(n - 1, -1, -1)), alloc
-    h, (wc, bc) = acts[-1], model.class_head
+    h, (wc, bc) = acts[-1], _class_head(model)
     rows = max(1, CHUNK_BYTES // (8 << n))
     masks = np.empty(len(h), dtype=np.intp)
     for i in range(0, len(h), rows):
@@ -378,13 +396,12 @@ def _decide(
 
 
 def infer_solution(
-    model: MtlModel, inst: OffloadInstance, decision_source: str = "class"
+    model: MtlModel, inst: OffloadInstance, decision_source: str | None = None
 ) -> OffloadSolution:
     """One feedforward pass mapped to a guaranteed-feasible solution.
 
-    ``decision_source="reg"`` derives the offload set by thresholding the
-    regression head instead of the classifier; used when the model was
-    trained with chi_c = 0 and the classifier head is uninformative.
+    The offload set comes from the model's own head unless
+    ``decision_source`` names one (see ``_decide``).
     """
     if inst.n_vehicles != model.n_vehicles:
         raise ShapeError(
@@ -409,7 +426,7 @@ def infer_solution(
 def evaluate(
     model: MtlModel,
     ds: LabeledDataset,
-    decision_source: str = "class",
+    decision_source: str | None = None,
 ) -> EvalMetrics:
     """Exact decision-match accuracy, alloc MSE and amortized decision time.
 
@@ -450,17 +467,20 @@ def solver_metrics(reports, ds: LabeledDataset) -> EvalMetrics:
 # ---------------------------------------------------------------------------
 
 def save_model_bytes(model: MtlModel) -> bytes:
-    """The header, ``<II`` N and layer count, the layer widths, then float32
-    mean, std and weights."""
+    """The header, ``<II`` N and layer count, the layer widths, the ``<I``
+    class-head flag, then float64 mean and std and float32 weights."""
     hidden = model.hidden_sizes
-    sizes = struct.pack(f"<II{len(hidden)}I", model.n_vehicles, len(hidden), *hidden)
-    body = np.concatenate([model.feature_mean, model.feature_std, model.weights])
-    return MODEL_FILE_HEADER + sizes + body.astype("<f4").tobytes()
+    sizes = struct.pack(f"<II{len(hidden)}II", model.n_vehicles, len(hidden), *hidden,
+                        model.has_class_head)
+    stats = np.concatenate([model.feature_mean, model.feature_std]).astype("<f8")
+    return MODEL_FILE_HEADER + sizes + stats.tobytes() + model.weights.astype("<f4").tobytes()
 
 
 def load_model_bytes(data: bytes) -> MtlModel:
     if not data.startswith(MODEL_FILE_HEADER):
-        raise FileFormatError("bad model file header")
+        raise FileFormatError("mtl-model v1 file: its float32 feature mean and std misnormalize "
+                              "the inputs; retrain the model" if data.startswith(b"mtl-model v1\n")
+                              else "bad model file header")
     off = len(MODEL_FILE_HEADER)
 
     def take(count: int) -> bytes:
@@ -473,19 +493,22 @@ def load_model_bytes(data: bytes) -> MtlModel:
 
     n, n_hidden = struct.unpack("<II", take(8))
     hidden = struct.unpack(f"<{n_hidden}I", take(4 * n_hidden))
-    # checked before the layout is built: it holds 2^N-wide tensors
-    if not 1 <= n <= MAX_VEHICLES or 0 in hidden:
-        raise FileFormatError(f"model file sizes out of range: N={n}, layer widths {hidden}")
+    (flag,) = struct.unpack("<I", take(4))
+    # checked before the layout is built: it may hold 2^N-wide tensors
+    if not 1 <= n <= MAX_VEHICLES or 0 in hidden or flag > 1:
+        raise FileFormatError(f"model file sizes out of range: N={n}, layer widths {hidden}, "
+                              f"class-head flag {flag}")
     d = feature_count(n)
-    n_weights = sum(math.prod(s) for s in _param_shapes(n, hidden))
-    body = np.frombuffer(take(4 * (2 * d + n_weights)), dtype="<f4").astype(np.float64)
+    n_weights = sum(math.prod(s) for s in _param_shapes(n, hidden, bool(flag)))
+    stats = np.frombuffer(take(8 * 2 * d), dtype="<f8").astype(np.float64)
+    weights = np.frombuffer(take(4 * n_weights), dtype="<f4").astype(np.float64)
     if off != len(data):
         raise FileFormatError("trailing bytes in model file")
-    if not np.isfinite(body).all():
+    if not (np.isfinite(stats).all() and np.isfinite(weights).all()):
         raise FileFormatError("non-finite float in model file")
-    if np.any(body[d : 2 * d] <= 0.0):
+    if np.any(stats[d:] <= 0.0):
         raise FileFormatError("model file has a feature_std entry <= 0")
-    return MtlModel(n, hidden, body[:d], body[d : 2 * d], body[2 * d :])
+    return MtlModel(n, hidden, stats[:d], stats[d:], weights, bool(flag))
 
 
 def save_model(path, model: MtlModel) -> None:

@@ -11,8 +11,9 @@ from edgeoffload.cli import (
     EXIT_VALIDATION,
     main,
 )
+from edgeoffload.config import train_config
 from edgeoffload.errors import ValidationError
-from edgeoffload.solvers import SbbConfig
+from edgeoffload.solvers import SbbConfig, read_labels
 
 
 def _run(*argv):
@@ -34,6 +35,35 @@ def test_generate_label_train_eval_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy" in out and "alloc_mse" in out
     assert (tmp_path / "log.csv").exists()
+
+
+def test_eval_of_a_model_file_prints_the_in_memory_accuracy(tmp_path, capsys):
+    """The model file keeps what the trained model decides by: ``eval`` on it
+    prints the accuracy that ``evaluate`` gives the model in memory."""
+    inst, test_inst = tmp_path / "inst.txt", tmp_path / "test.txt"
+    labels, test_labels, model = tmp_path / "labels.csv", tmp_path / "test.csv", tmp_path / "m.bin"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 10\n")
+    assert _run("generate", "--count", "2000", "--seed", "0", "--out", str(inst)) == EXIT_OK
+    assert _run("generate", "--count", "500", "--seed", "1", "--out", str(test_inst)) == EXIT_OK
+    assert _run("label", str(inst), "--out", str(labels)) == EXIT_OK
+    assert _run("label", str(test_inst), "--out", str(test_labels)) == EXIT_OK
+    assert _run("train", str(labels), "--config", str(cfg), "--out", str(model)) == EXIT_OK
+    capsys.readouterr()
+    assert _run("eval", str(model), str(test_labels)) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    in_memory, _ = mtl.train(read_labels(labels), train_config({"epochs": "10"}))
+    metrics = mtl.evaluate(in_memory, read_labels(test_labels))
+    assert printed[:2] == [f"accuracy  {metrics.class_accuracy:.4f}",
+                           f"alloc_mse {metrics.reg_mse:.6g}"]
+
+
+def test_eval_of_a_v1_model_file_is_an_io_error(tmp_path, capsys):
+    model, labels = _trained_model(tmp_path)
+    model.write_bytes(b"mtl-model v1\n" + model.read_bytes()[len(mtl.MODEL_FILE_HEADER):])
+    capsys.readouterr()
+    assert _run("eval", str(model), str(labels)) == EXIT_IO
+    assert "retrain" in capsys.readouterr().err
 
 
 def test_generate_same_seed_same_digest(tmp_path):
@@ -91,6 +121,15 @@ def test_split_plan_defaults(capsys):
     out = capsys.readouterr().out
     assert "best split point" in out
     assert "crossover" in out
+
+
+def test_split_plan_eta_step_that_misses_one_is_a_config_error(tmp_path, capsys):
+    cfg, sweep = tmp_path / "split.cfg", tmp_path / "sweep.csv"
+    cfg.write_text("eta_step = 0.3\n")
+    assert _run("split-plan", "--config", str(cfg), "--out", str(sweep)) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "equal steps" in err
+    assert not sweep.exists()
 
 
 def test_split_plan_eta_outside_the_unit_interval_prints_nothing(tmp_path, capsys):
@@ -157,9 +196,10 @@ def test_eval_of_a_truncated_model_is_an_io_error(tmp_path):
 def test_eval_of_a_model_with_a_corrupt_float_is_an_io_error(tmp_path, field, value):
     model, labels = _trained_model(tmp_path)
     blob = bytearray(model.read_bytes())
-    # the file ends in the weights; the 16 std floats of N=2 sit just before them
-    at = len(blob) - 4 * mtl.load_model(model).weights.size - (4 * 16 if field == "std" else 0)
-    blob[at : at + 4] = struct.pack("<f", value)
+    # the file ends in the float32 weights; the 16 float64 stds of N=2 sit just before them
+    at = len(blob) - 4 * mtl.load_model(model).weights.size - (8 * 16 if field == "std" else 0)
+    fmt = "<d" if field == "std" else "<f"
+    blob[at : at + struct.calcsize(fmt)] = struct.pack(fmt, value)
     model.write_bytes(bytes(blob))
     assert _run("eval", str(model), str(labels)) == EXIT_IO
 
@@ -342,6 +382,7 @@ _BASE_ARGV = {
     ("generate", "--workers"), ("train", "--workers"), ("experiment", "--workers"),
     ("label", "--config"), ("label", "--seed"),
     ("eval", "--config"), ("eval", "--seed"), ("eval", "--out"), ("eval", "--workers"),
+    ("eval", "--decision-source"),
     ("solve", "--config"), ("solve", "--seed"), ("solve", "--workers"),
     ("split-plan", "--seed"), ("split-plan", "--workers"),
     ("label", "--grid-step"), ("solve", "--grid-step"), ("solve", "--out"),

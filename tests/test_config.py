@@ -127,6 +127,18 @@ def test_split_scenario_rejects_bad_eta_step():
         split_scenario(kv)
 
 
+# 0.3 ends its grid at 0.8999999999999999; 0.15 takes 7 steps, the last one short
+@pytest.mark.parametrize("step", ["0.3", "0.4", "0.7", "0.15"])
+def test_split_scenario_rejects_an_eta_step_whose_grid_misses_one(step):
+    with pytest.raises(ConfigError, match="equal steps"):
+        split_scenario({"eta_step": step})
+
+
+@pytest.mark.parametrize("step", ["0.05", "0.1", "0.2", "0.25", "0.125", "0.01"])
+def test_split_scenario_accepts_an_eta_step_that_divides_one(step):
+    assert split_scenario({"eta_step": step})[1] == float(step)
+
+
 def test_split_scenario_overlays_the_shipped_scenario():
     sc, _ = split_scenario({"miss_penalty": "3.5"})
     assert sc.acc.miss_penalty == 3.5

@@ -14,6 +14,9 @@ from edgeoffload.experiments import (
     run_experiment,
     sha256_file,
 )
+from edgeoffload.model import generate_instances
+from edgeoffload.mtl import evaluate, train
+from edgeoffload.solvers import label_instances
 
 
 def test_spec_rejects_unknown_kind(tmp_path):
@@ -83,3 +86,22 @@ def test_fig5a_reads_the_chi_l_alias(tmp_path):
     job = resolve_config(ExperimentSpec(kind="fig5a-training-fraction", out_dir=tmp_path,
                                         config_text="train.chi_l = 0.5\n"))
     assert [cfg.chi_r for _, cfg in job["runs"]] == [0.5] * 10
+
+
+def test_fig5a_scores_a_headless_model_by_its_regression_head(tmp_path):
+    """A chi_c = 0 model has no class head, so fig5a's accuracy is that of
+    the regression head's decisions, not of an untrained classifier."""
+    cfg = ("offload.n_vehicles = 6\ntrain.chi_c = 0\ntrain.hidden_sizes = 32,32\n"
+           "train.epochs = 10\nexperiment.samples = 800\nexperiment.test_samples = 200\n"
+           "experiment.fractions = 0.2,1.0\n")
+    spec = ExperimentSpec(kind="fig5a-training-fraction", out_dir=tmp_path, seed=0,
+                          config_text=cfg)
+    run_experiment(spec)
+    rows = [line.split(",") for line in (tmp_path / "fig5a.csv").read_text().splitlines()[1:]]
+    job = resolve_config(spec)
+    ds = label_instances(generate_instances(6, 800, job["ranges"], seed=0))
+    test_ds = label_instances(generate_instances(6, 200, job["ranges"], seed=1))
+    for row, (frac, train_cfg) in zip(rows, job["runs"], strict=True):
+        model, _ = train(ds, train_cfg)
+        assert model.class_head is None
+        assert float(row[1]) == evaluate(model, test_ds, decision_source="reg").class_accuracy

@@ -44,7 +44,8 @@ from edgeoffload.solvers import (
 
 def _tensors(model):
     """Every parameter tensor of ``model``, in ``weights`` order."""
-    return [t for pair in (*model.trunk, model.class_head, model.reg_head) for t in pair]
+    heads = (*model.trunk, model.class_head, model.reg_head)
+    return [t for pair in heads if pair is not None for t in pair]
 
 
 def _grad_like(model):
@@ -307,38 +308,50 @@ def test_model_serialization_roundtrip(trained):
     np.testing.assert_allclose(a1, a2, atol=1e-5)
 
 
-def _golden_model():
+def _golden_model(has_class_head=True):
     """An N=1 model with one hidden layer of width 2 and hand-set weights,
     and its model file packed by hand."""
     d = feature_count(1)
     model = mtl._init_model(1, (2,), np.arange(d) / 2.0, np.arange(1, d + 1) / 4.0,
-                            np.random.default_rng(0))
-    tensors = [np.arange(20.0).reshape(d, 2), [0.5, -0.5],  # trunk W (d_in, d_out), b
-               [[1.0, 2.0], [3.0, 4.0]], [-1.0, -2.0],     # class head W (h, 2^N), b
-               [[0.25], [0.75]], [0.125]]                  # regression head W (h, N), b
-    assert [p.shape for p in _tensors(model)] == [(d, 2), (2,), (2, 2), (2,), (2, 1), (1,)]
+                            np.random.default_rng(0), has_class_head)
+    trunk = [np.arange(20.0).reshape(d, 2), [0.5, -0.5]]  # trunk W (d_in, d_out), b
+    class_head = [[[1.0, 2.0], [3.0, 4.0]], [-1.0, -2.0]]  # class head W (h, 2^N), b
+    reg_head = [[[0.25], [0.75]], [0.125]]                 # regression head W (h, N), b
+    tensors = trunk + (class_head if has_class_head else []) + reg_head
+    assert [p.shape for p in _tensors(model)] == [
+        (d, 2), (2,), *([(2, 2), (2,)] if has_class_head else []), (2, 1), (1,)]
     for p, value in zip(_tensors(model), tensors):
         p[...] = value
-    blob = (b"mtl-model v1\n"
-            + struct.pack("<II", 1, 1) + struct.pack("<I", 2)
-            + struct.pack("<10f", *[i / 2.0 for i in range(d)])
-            + struct.pack("<10f", *[(i + 1) / 4.0 for i in range(d)])
+    blob = (b"mtl-model v2\n"
+            + struct.pack("<II", 1, 1) + struct.pack("<I", 2) + struct.pack("<I", has_class_head)
+            + struct.pack("<10d", *[i / 2.0 for i in range(d)])
+            + struct.pack("<10d", *[(i + 1) / 4.0 for i in range(d)])
             + struct.pack("<20f", *range(20)) + struct.pack("<2f", 0.5, -0.5)
-            + struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, -1.0, -2.0)
+            + (struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, -1.0, -2.0) if has_class_head else b"")
             + struct.pack("<3f", 0.25, 0.75, 0.125))
     return model, blob
 
 
-def test_model_file_matches_the_hand_packed_layout():
+def _assert_hand_packed_layout(has_class_head):
     """A round trip cannot see a layout change that save and load make together."""
-    model, blob = _golden_model()
-    assert len(blob) == 13 + 8 + 4 * 1 + 4 * (2 * feature_count(1) + 31)
+    model, blob = _golden_model(has_class_head)
+    n_weights = 31 if has_class_head else 25
+    assert len(blob) == 13 + 8 + 4 * 1 + 4 + 8 * 2 * feature_count(1) + 4 * n_weights
     assert save_model_bytes(model) == blob
     back = load_model_bytes(blob)
     assert (back.n_vehicles, back.hidden_sizes) == (1, (2,))
-    for p, q in zip(_tensors(back), _tensors(model)):
+    assert (back.class_head is None) == (not has_class_head)
+    for p, q in zip(_tensors(back), _tensors(model), strict=True):
         np.testing.assert_array_equal(p, q)
     assert save_model_bytes(back) == blob
+
+
+def test_model_file_matches_the_hand_packed_layout():
+    _assert_hand_packed_layout(has_class_head=True)
+
+
+def test_headless_model_file_matches_the_hand_packed_layout():
+    _assert_hand_packed_layout(has_class_head=False)
 
 
 def test_model_heads_are_views_of_the_weights():
@@ -354,57 +367,102 @@ def test_model_load_rejects_garbage():
         load_model_bytes(b"not a model")
 
 
+def test_model_load_refuses_a_v1_file():
+    """v1 stored the feature mean and std as float32, which misnormalizes a
+    near-constant column; such a file is refused, not read."""
+    blob = b"mtl-model v1\n" + _golden_model()[1][len(mtl.MODEL_FILE_HEADER):]
+    with pytest.raises(FileFormatError, match="v1.*float32.*retrain"):
+        load_model_bytes(blob)
+
+
 _GOLDEN = _golden_model()[1]
-_SIZES = len(b"mtl-model v1\n")  # offset of the <II N and layer count
+_SIZES = len(b"mtl-model v2\n")  # offset of the <II N and layer count
 
 
 @pytest.mark.parametrize("blob", [
     _GOLDEN[: _SIZES + 5],  # inside the sizes
     _GOLDEN[: _SIZES + 8 + 2],  # inside the hidden widths
+    _GOLDEN[: _SIZES + 12 + 2],  # inside the class-head flag
     _GOLDEN[:_SIZES] + struct.pack("<II", 1, 1000) + _GOLDEN[_SIZES + 8 :],  # widths past the end
     _GOLDEN[:100],  # inside the mean/std
     _GOLDEN[:-1],  # inside the weights
     _GOLDEN + b"\0",  # one trailing byte
-], ids=["sizes", "widths", "layer-count", "stats", "weights", "trailing"])
+    _golden_model(False)[1][:-4],  # a head-less file is 24 bytes shorter than this one
+], ids=["sizes", "widths", "flag", "layer-count", "stats", "weights", "trailing", "headless-cut"])
 def test_model_load_rejects_a_cut_or_padded_file(blob):
     with pytest.raises(FileFormatError):
         load_model_bytes(blob)
 
 
-_STD = _SIZES + 12 + 4 * feature_count(1)  # offset of the first feature_std float
-_WEIGHTS = _STD + 4 * feature_count(1)
+_MEAN = _SIZES + 16  # offset of the first feature_mean float64
+_STD = _MEAN + 8 * feature_count(1)  # offset of the first feature_std float64
+_WEIGHTS = _STD + 8 * feature_count(1)  # offset of the first float32 weight
 
 
-@pytest.mark.parametrize("at, value", [
-    (_WEIGHTS + 4 * 7, float("nan")), (_WEIGHTS, float("inf")), (len(_GOLDEN) - 4, float("-inf")),
-    (_SIZES + 12, float("nan")), (_STD + 4 * 3, float("inf")),
-    (_STD + 4 * 3, 0.0), (_STD, -0.25),
+@pytest.mark.parametrize("at, fmt, value", [
+    (_WEIGHTS + 4 * 7, "<f", float("nan")), (_WEIGHTS, "<f", float("inf")),
+    (len(_GOLDEN) - 4, "<f", float("-inf")),
+    (_MEAN, "<d", float("nan")), (_STD + 8 * 3, "<d", float("inf")),
+    (_STD + 8 * 3, "<d", 0.0), (_STD, "<d", -0.25),
 ], ids=["weight-nan", "weight-inf", "last-weight-ninf", "mean-nan", "std-inf", "std-zero",
         "std-negative"])
-def test_model_load_rejects_a_corrupt_float(at, value):
+def test_model_load_rejects_a_corrupt_float(at, fmt, value):
     blob = bytearray(_GOLDEN)
-    blob[at : at + 4] = struct.pack("<f", value)
+    blob[at : at + struct.calcsize(fmt)] = struct.pack(fmt, value)
     with pytest.raises(FileFormatError):
         load_model_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("n, width", [(0, 2), (17, 2), (1 << 31, 2), (1, 0)])
-def test_model_load_rejects_sizes_before_building_the_layout(monkeypatch, n, width):
+def _assert_rejected_before_the_layout(monkeypatch, n, width, flag):
     def no_layout(*args):
         raise AssertionError("layout built for out-of-range sizes")
 
     monkeypatch.setattr(mtl, "_param_shapes", no_layout)
-    blob = _GOLDEN[:_SIZES] + struct.pack("<III", n, 1, width) + _GOLDEN[_SIZES + 12 :]
+    blob = _GOLDEN[:_SIZES] + struct.pack("<IIII", n, 1, width, flag) + _GOLDEN[_SIZES + 16 :]
     with pytest.raises(FileFormatError, match="out of range"):
         load_model_bytes(blob)
 
 
+@pytest.mark.parametrize("n, width", [(0, 2), (17, 2), (1 << 31, 2), (1, 0)])
+def test_model_load_rejects_sizes_before_building_the_layout(monkeypatch, n, width):
+    _assert_rejected_before_the_layout(monkeypatch, n, width, 1)
+
+
+@pytest.mark.parametrize("flag", [2, 0xFFFFFFFF])
+def test_model_load_rejects_a_class_head_flag_other_than_0_or_1(monkeypatch, flag):
+    _assert_rejected_before_the_layout(monkeypatch, 1, 2, flag)
+
+
 def test_default_model_under_2kb(trained):
     model, _ = trained
-    assert len(save_model_bytes(model)) == 1909 <= 2048  # the README figures
+    assert len(save_model_bytes(model)) == 2041 <= 2048  # the README figures
     d = feature_count(8)
-    n8 = mtl._init_model(8, (64, 64), np.zeros(d), np.ones(d), np.random.default_rng(0))
-    assert len(save_model_bytes(n8)) == 99293
+    for has_class_head, size in ((True, 99713), (False, 33153)):
+        n8 = mtl._init_model(8, (64, 64), np.zeros(d), np.ones(d), np.random.default_rng(0),
+                             has_class_head)
+        assert len(save_model_bytes(n8)) == size
+
+
+def _held_out_masks(model, n, seed):
+    rows = normalize(batch_features(generate_instances(n, 500, seed=seed)), model)
+    return mtl._decide(model, rows)
+
+
+@pytest.mark.parametrize("n, chi_c, hidden", [(2, 1.0, (12, 12)), (5, 1.0, (32, 32)),
+                                              (8, 0.0, (64, 64))])
+def test_a_model_read_back_decides_as_the_trained_model(n, chi_c, hidden):
+    """The pinned noise_power column has a training std near 1e-22; its mean
+    and std must survive the file exactly for the inputs to normalize alike."""
+    ds = label_instances(generate_instances(n, 1000, seed=180 + n))
+    model, _ = train(ds, TrainConfig(chi_c=chi_c, epochs=3, hidden_sizes=hidden, seed=0))
+    assert (model.class_head is None) == (chi_c == 0.0)
+    back = load_model_bytes(save_model_bytes(model))
+    np.testing.assert_array_equal(back.feature_mean, model.feature_mean)
+    np.testing.assert_array_equal(back.feature_std, model.feature_std)
+    masks, alloc = _held_out_masks(model, n, 190 + n)
+    back_masks, back_alloc = _held_out_masks(back, n, 190 + n)
+    np.testing.assert_array_equal(back_masks, masks)
+    np.testing.assert_allclose(back_alloc, alloc, atol=1e-5)
 
 
 def test_loss_decomposition(trained, small_ds):
@@ -436,7 +494,8 @@ def _train_per_tensor(ds, cfg):
     x = (x_raw - mean) / std
     cls, alloc = ds.decision[train_idx], ds.alloc[train_idx]
     rng = np.random.default_rng(cfg.seed + 1)
-    model = mtl._init_model(ds.n_vehicles, tuple(cfg.hidden_sizes), mean, std, rng)
+    model = mtl._init_model(ds.n_vehicles, tuple(cfg.hidden_sizes), mean, std, rng,
+                            cfg.chi_c != 0.0)
     grad = _grad_like(model)
     params, grads = _tensors(model), _tensors(grad)
     m_state = [np.zeros_like(p) for p in params]
@@ -480,21 +539,26 @@ def test_fused_adam_matches_per_tensor_loop(chi_c, n, hidden):
     ref_model, ref_log = _train_per_tensor(ds, cfg)
     _assert_same_log(log, ref_log, chi_c)
     assert save_model_bytes(model) == save_model_bytes(ref_model)
-    for p, q in zip(_tensors(model), _tensors(ref_model)):
+    for p, q in zip(_tensors(model), _tensors(ref_model), strict=True):
         np.testing.assert_array_equal(p, q)
+    assert (model.class_head is None) == (chi_c == 0.0)
 
 
 def _loss_and_grads_full_backward(model, x, class_idx, alloc_labels, chi_c, chi_r, grad):
     """Reference: the step it used to run, with the class head's forward and
     backward passes at every chi_c, the 0/1 blend of the two projection
-    branches and one concatenation of every gradient into ``grad``."""
+    branches and one concatenation of every gradient into ``grad``.  A
+    head-less model (chi_c = 0) runs with a zero class head whose gradient
+    is dropped."""
     batch = x.shape[0]
     if batch == 0:
         raise ValidationError("empty batch")
     acts: list[np.ndarray] = []
-    logits, y, alloc = forward(model, x, acts=acts)
-    probs = _softmax(logits)
+    _, y, alloc = forward(model, x, with_class=False, acts=acts)
     h = acts[-1]
+    n_classes = 1 << model.n_vehicles
+    wc, bc = model.class_head or (np.zeros((h.shape[1], n_classes)), np.zeros(n_classes))
+    probs = _softmax(h @ wc + bc)
 
     rows = np.arange(batch)
     p_true = np.clip(probs[rows, class_idx], 1e-300, None)
@@ -520,7 +584,6 @@ def _loss_and_grads_full_backward(model, x, class_idx, alloc_labels, chi_c, chi_
     dr = renorm * dr_renorm + (1.0 - renorm) * dalloc
     dy = dr * (y > 0.0)
 
-    wc, _ = model.class_head
     wr, _ = model.reg_head
     g_wc = h.T @ dlogits
     g_bc = dlogits.sum(axis=0)
@@ -540,7 +603,8 @@ def _loss_and_grads_full_backward(model, x, class_idx, alloc_labels, chi_c, chi_
     grads: list[np.ndarray] = []
     for gw, gb in trunk_grads:
         grads.extend([gw, gb])
-    grads.extend([g_wc, g_bc, g_wr, g_br])
+    grads.extend([g_wc, g_bc] if model.class_head else [])
+    grads.extend([g_wr, g_br])
     np.concatenate([g.ravel() for g in grads], out=grad.weights)
     return loss, ce, mse
 
@@ -557,33 +621,25 @@ def test_training_step_matches_the_full_backward_reference(monkeypatch, chi_c, n
     _assert_same_log(log, ref_log, chi_c)
     np.testing.assert_array_equal(model.weights, ref_model.weights)
     assert save_model_bytes(model) == save_model_bytes(ref_model)
-    if chi_c == 0.0:  # the class head keeps the bytes it was initialised with
-        init = mtl._init_model(n, hidden, model.feature_mean, model.feature_std,
-                               np.random.default_rng(cfg.seed + 1))
-        for p, q in zip(model.class_head, init.class_head):
-            np.testing.assert_array_equal(p, q)
+    if chi_c == 0.0:
+        assert model.class_head is None
         assert ref_log[-1]["ce_term"] > 0.0  # the reference still computes it
 
 
 def test_chi_c_zero_gradient_check():
-    """Central differences over the trunk and regression-head entries of a
-    chi_c = 0 step; the class-head slice of ``grad`` is left as passed in."""
+    """Central differences over every entry of a head-less chi_c = 0 step;
+    on a model with a class head, its slice of ``grad`` is left as passed in."""
     ds = label_instances(generate_instances(3, 64, seed=160))
     model, _ = train(ds, TrainConfig(chi_c=0.0, epochs=2, hidden_sizes=(8, 6), seed=0))
+    assert model.class_head is None
     x = normalize(ds.features[:8], model)
     step = (model, x, ds.decision[:8], ds.alloc[:8], 0.0, 0.7)
     grad = _grad_like(model)
     grad.weights[:] = np.random.default_rng(162).normal(size=grad.weights.size)
-    passed_in = replace(grad, weights=grad.weights.copy())
     loss, ce, mse = loss_and_grads(*step, grad)
     assert math.isnan(ce) and loss == 0.7 * mse
-    for g, g_in in zip(grad.class_head, passed_in.class_head):
-        np.testing.assert_array_equal(g, g_in)
-    in_head = _grad_like(model)
-    for t in in_head.class_head:
-        t[...] = 1.0
     scratch, p, eps, worst = _grad_like(model), model.weights, 1e-6, 0.0
-    for j in np.flatnonzero(in_head.weights == 0.0):  # the trunk and regression head
+    for j in range(p.size):
         orig = p[j]
         p[j] = orig + eps
         hi = loss_and_grads(*step, scratch)[0]
@@ -593,6 +649,67 @@ def test_chi_c_zero_gradient_check():
         fd = (hi - lo) / (2 * eps)
         worst = max(worst, abs(fd - grad.weights[j]) / max(abs(fd), abs(grad.weights[j]), 1e-8))
     assert worst < 1e-4
+
+    headed = mtl._init_model(3, (8, 6), model.feature_mean, model.feature_std,
+                             np.random.default_rng(161))
+    grad = _grad_like(headed)
+    grad.weights[:] = np.random.default_rng(163).normal(size=grad.weights.size)
+    passed_in = replace(grad, weights=grad.weights.copy())
+    loss_and_grads(headed, *step[1:], grad)
+    for g, g_in in zip(grad.class_head, passed_in.class_head):
+        np.testing.assert_array_equal(g, g_in)
+
+
+def test_init_draws_the_class_head_in_blocks_as_one_call():
+    """The class head's normals come in CHUNK_BYTES row blocks, with or
+    without the head, and equal the one-call draw of each tensor; the
+    generator ends in the same state."""
+    n, hidden, d = 12, (64, 64), feature_count(12)  # a 2 MiB class head: two blocks
+    model = mtl._init_model(n, hidden, np.zeros(d), np.ones(d), np.random.default_rng(4))
+    headless_rng = np.random.default_rng(4)
+    headless = mtl._init_model(n, hidden, np.zeros(d), np.ones(d), headless_rng, False)
+    ref_rng = np.random.default_rng(4)
+    ref = [ref_rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape) for w, _ in model.trunk]
+    ref_wc = ref_rng.normal(0.0, np.sqrt(1.0 / 64), size=(64, 1 << n))
+    ref_wr = ref_rng.normal(0.0, np.sqrt(1.0 / 64), size=(64, n))
+    for m in (model, headless):
+        for (w, _), r in zip(m.trunk, ref, strict=True):
+            np.testing.assert_array_equal(w, r)
+        np.testing.assert_array_equal(m.reg_head[0], ref_wr)
+    np.testing.assert_array_equal(model.class_head[0], ref_wc)
+    assert headless.class_head is None
+    assert headless_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_class_decisions_need_a_class_head():
+    ds = label_instances(generate_instances(3, 64, seed=164))
+    model, _ = train(ds, TrainConfig(chi_c=0.0, epochs=1, hidden_sizes=(8,), seed=0))
+    x = normalize(ds.features, model)
+    np.testing.assert_array_equal(mtl._decide(model, x)[0], mtl._decide(model, x, "reg")[0])
+    inst = generate_instances(3, 1, seed=165)[0]
+    assert infer_solution(model, inst) == infer_solution(model, inst, decision_source="reg")
+    for call in (lambda: mtl._decide(model, x, "class"),
+                 lambda: infer_solution(model, inst, decision_source="class"),
+                 lambda: evaluate(model, ds, decision_source="class"),
+                 lambda: loss_and_grads(model, x, ds.decision, ds.alloc, 1.0, 1.0,
+                                        _grad_like(model))):
+        with pytest.raises(ConfigError, match="'reg'"):
+            call()
+
+
+def test_headless_n16_training_memory_and_file_are_bounded():
+    """At N=16 the 2^16-wide class head would be 99.7 % of a 64x64 model;
+    a chi_c = 0 model neither trains nor stores it."""
+    ds = label_instances(generate_instances(16, 2000, seed=166))
+    cfg = TrainConfig(chi_c=0.0, epochs=2, hidden_sizes=(64, 64), seed=0)
+    tracemalloc.start()
+    try:
+        model, _ = train(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len(save_model_bytes(model)) < 64 * 2**10
 
 
 def test_class_decisions_memory_bounded_by_chunk_budget():

@@ -3,9 +3,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 from edgeoffload.cli import build_parser
 from edgeoffload.config import default_config_text, parse_kv_text
 from edgeoffload.experiments import EXPERIMENT_KINDS, ExperimentSpec, resolve_config
+from edgeoffload.model import feature_count
+from edgeoffload.mtl import _init_model, save_model_bytes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -69,3 +73,17 @@ def test_split_keys_match_the_shipped_config():
     shipped = {re.sub(r"^layer\d+\.", "layerK.", key)
                for key in parse_kv_text(default_config_text("split"), "split_default.cfg")}
     assert documented == shipped
+
+
+def test_model_sizes_match_the_model_files():
+    """Each "N=n model (hidden widths ...) is B bytes" in the File formats
+    section is the length of such a model's file."""
+    section = README.read_text(encoding="utf-8").split("## File formats", 1)[1]
+    sizes = re.findall(r"N=(\d+) model \(hidden widths ([\d,]+)(, no class head)?\) is "
+                       r"(\d[\d ]*) bytes", " ".join(section.split()))
+    assert len(sizes) == 3
+    for n, widths, headless, size in sizes:
+        d = feature_count(int(n))
+        model = _init_model(int(n), tuple(int(w) for w in widths.split(",")), np.zeros(d),
+                            np.ones(d), np.random.default_rng(0), not headless)
+        assert len(save_model_bytes(model)) == int(size.replace(" ", "")), (n, widths, headless)
