@@ -21,12 +21,12 @@ from .errors import ConfigError, FileFormatError, ShapeError, ValidationError
 from .kernels import CHUNK_BYTES
 from .model import (MAX_VEHICLES, OffloadInstance, OffloadSolution, feature_count,
                     raw_features, total_cost)
-from .solvers import LabeledDataset, decisions_to_mask, mask_to_decisions, optimal_allocation
+from .solvers import LabeledDataset, _report_columns, mask_to_decisions, optimal_allocation
 
 MODEL_FILE_HEADER = b"mtl-model v2\n"
 DEFAULT_HIDDEN = (12, 12)  # largest symmetric pair keeping the N=2 file <= 2048 B
-TIMED_REPEATS = 5  # evaluate() reports the median of this many timed repeats
-MIN_TIMED_PASSES = 1000  # and each repeat decides at least this many rows
+TIMED_REPEATS = 5  # seconds_per_item() takes the median of this many timed repeats
+MIN_TIMED_PASSES = 1000  # and each repeat handles at least this many items
 
 
 def _param_shapes(
@@ -114,7 +114,6 @@ class TrainConfig:
 class EvalMetrics:
     class_accuracy: float
     reg_mse: float
-    mean_inference_time: float
 
 
 # ---------------------------------------------------------------------------
@@ -423,43 +422,44 @@ def infer_solution(
     return OffloadSolution(decisions=decisions, alloc=tuple(alloc), cost=cost)
 
 
-def evaluate(
-    model: MtlModel,
-    ds: LabeledDataset,
-    decision_source: str | None = None,
-) -> EvalMetrics:
-    """Exact decision-match accuracy, alloc MSE and amortized decision time.
+def _score(masks: np.ndarray, alloc: np.ndarray, ds: LabeledDataset) -> EvalMetrics:
+    """Exact mask match and alloc MSE against the labels."""
+    return EvalMetrics(class_accuracy=float((masks == ds.decision).mean()),
+                       reg_mse=float(((alloc - ds.alloc) ** 2).mean()))
 
-    The time per row is the median of ``TIMED_REPEATS`` separately timed
-    repeats, each of ceil(``MIN_TIMED_PASSES`` / n) batched passes over the
-    n rows, so one host stall does not set it.
-    """
+
+def evaluate(model: MtlModel, ds: LabeledDataset) -> EvalMetrics:
+    """Exact decision-match accuracy and alloc MSE, decided by the model's own head."""
     if ds.n_samples == 0:
         raise ValidationError("evaluation dataset is empty")
-    x = normalize(ds.features, model)
-    pred_mask, alloc = _decide(model, x, decision_source)
-    accuracy = float((pred_mask == ds.decision).mean())
-    mse = float(((alloc - ds.alloc) ** 2).mean())
-
-    reps = int(np.ceil(MIN_TIMED_PASSES / ds.n_samples))
-    repeat_seconds = []
-    for _ in range(TIMED_REPEATS):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            _decide(model, x, decision_source)
-        repeat_seconds.append(time.perf_counter() - t0)
-    mean_time = statistics.median(repeat_seconds) / (reps * ds.n_samples)
-    return EvalMetrics(class_accuracy=accuracy, reg_mse=mse, mean_inference_time=mean_time)
+    return _score(*_decide(model, normalize(ds.features, model)), ds)
 
 
 def solver_metrics(reports, ds: LabeledDataset) -> EvalMetrics:
     """Score solver outputs against oracle labels with the same metrics."""
-    masks = np.array([decisions_to_mask(r.solution.decisions) for r in reports])
-    alloc = np.array([r.solution.alloc for r in reports])
-    accuracy = float((masks == ds.decision).mean())
-    mse = float(((alloc - ds.alloc) ** 2).mean())
-    mean_time = float(np.mean([r.wall_time for r in reports]))
-    return EvalMetrics(class_accuracy=accuracy, reg_mse=mse, mean_inference_time=mean_time)
+    return _score(*_report_columns(reports)[:2], ds)
+
+
+def seconds_per_item(run, n_items: int) -> float:
+    """Wall time per item of ``run()``, one pass over ``n_items`` items: the
+    median of ``TIMED_REPEATS`` separately timed repeats, each of
+    ceil(``MIN_TIMED_PASSES`` / n_items) calls, so one host stall does not set it."""
+    if n_items < 1:
+        raise ValidationError("nothing to time: n_items must be >= 1")
+    reps = math.ceil(MIN_TIMED_PASSES / n_items)
+    repeat_seconds = []
+    for _ in range(TIMED_REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            run()
+        repeat_seconds.append(time.perf_counter() - t0)
+    return statistics.median(repeat_seconds) / (reps * n_items)
+
+
+def decision_seconds(model: MtlModel, ds: LabeledDataset) -> float:
+    """``seconds_per_item`` of one batched ``_decide`` pass over ``ds``'s rows."""
+    x = normalize(ds.features, model)
+    return seconds_per_item(lambda: _decide(model, x), ds.n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    MAX_VEHICLES,
     N_GLOBAL_FEATURES,
     PER_VEHICLE_FEATURES,
     OffloadInstance,
@@ -60,7 +60,6 @@ class SolveReport:
     solution: OffloadSolution
     nodes_explored: int
     proven_optimal: bool
-    wall_time: float
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +109,12 @@ def _instance_arrays(inst: OffloadInstance):
     return local, off_base, sqrt_c, wt_over_f
 
 
-def _report_for_mask(inst: OffloadInstance, mask: int, nodes: int, proven: bool, t0: float) -> SolveReport:
+def _report_for_mask(inst: OffloadInstance, mask: int, nodes: int, proven: bool) -> SolveReport:
     decisions = mask_to_decisions(mask, inst.n_vehicles)
     alloc = optimal_allocation(inst, decisions)
     cost = total_cost(inst, decisions, alloc)
     sol = OffloadSolution(decisions=decisions, alloc=tuple(alloc), cost=cost)
-    return SolveReport(
-        solution=sol,
-        nodes_explored=nodes,
-        proven_optimal=proven,
-        wall_time=time.perf_counter() - t0,
-    )
+    return SolveReport(solution=sol, nodes_explored=nodes, proven_optimal=proven)
 
 
 def _feature_columns(features: np.ndarray):
@@ -202,25 +196,14 @@ def solve_exhaustive(inst: OffloadInstance) -> SolveReport:
 
 
 def batch_solve_exhaustive(instances: list[OffloadInstance]) -> list[SolveReport]:
-    """Vectorized exhaustive solve of a homogeneous batch (same N).
-
-    Each report's ``wall_time`` is the batch's time per instance.
-    """
+    """Vectorized exhaustive solve of a homogeneous batch (same N)."""
     if not instances:
         return []
-    t0 = time.perf_counter()
     n = instances[0].n_vehicles
     mask, alloc, cost = _exhaustive_columns(instances, batch_features(instances))
-    wall_time = (time.perf_counter() - t0) / len(instances)
-    return [
-        SolveReport(
-            solution=OffloadSolution(decisions=mask_to_decisions(m, n), alloc=a, cost=c),
-            nodes_explored=1 << n,
-            proven_optimal=True,
-            wall_time=wall_time,
-        )
-        for m, a, c in zip(mask.tolist(), alloc.tolist(), cost.tolist())
-    ]
+    return [SolveReport(OffloadSolution(decisions=mask_to_decisions(m, n), alloc=a, cost=c),
+                        nodes_explored=1 << n, proven_optimal=True)
+            for m, a, c in zip(mask.tolist(), alloc.tolist(), cost.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +234,6 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
     completion is its own mask, needs no pricing when it is popped.
     """
     cfg = cfg or SbbConfig()
-    t0 = time.perf_counter()
     n = inst.n_vehicles
     local, off_base, sqrt_c, wt_over_f = _instance_arrays(inst)
     cycles = sqrt_c**2
@@ -314,7 +296,7 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
         # ties go to the smallest mask
         for mask in (0, *(1 << i for i in range(n))):
             consider(mask)
-    return _report_for_mask(inst, inc_mask, nodes=nodes, proven=proven, t0=t0)
+    return _report_for_mask(inst, inc_mask, nodes=nodes, proven=proven)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +433,9 @@ def read_labels(path) -> LabeledDataset:
             if n_vehicles is None:
                 n_vehicles = (len(cols) - N_GLOBAL_FEATURES - 2) // (PER_VEHICLE_FEATURES + 1)
                 k = feature_count(n_vehicles)
-            if len(cols) != k + n_vehicles + 2:
-                raise FileFormatError(f"{path}:{lineno}: bad column count {len(cols)}")
+            if len(cols) != k + n_vehicles + 2 or not 1 <= n_vehicles <= MAX_VEHICLES:
+                raise FileFormatError(f"{path}:{lineno}: bad column count {len(cols)} "
+                                      f"(N={n_vehicles}, allowed 1..{MAX_VEHICLES})")
             try:
                 feats.append([float(x) for x in cols[:k]])
                 decs.append(int(cols[k]))
@@ -460,6 +443,8 @@ def read_labels(path) -> LabeledDataset:
                 costs.append(float(cols[-1]))
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: malformed label record: {exc}") from exc
+            if not 0 <= decs[-1] < 1 << n_vehicles:
+                raise FileFormatError(f"{path}:{lineno}: decision {decs[-1]} is not in 0..2^N-1")
     if n_vehicles is None:
         raise FileFormatError(f"{path}: no label records")
     return LabeledDataset(

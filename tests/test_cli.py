@@ -186,6 +186,26 @@ def _trained_model(tmp_path):
     return model, labels
 
 
+@pytest.mark.parametrize("bad_line", [2, 3])
+def test_label_rows_no_model_can_use_are_io_errors(tmp_path, capsys, bad_line):
+    """A label file of six-column rows (N = 0), or one whose decision is no
+    N=2 mask, is refused by file and line before training starts."""
+    model, labels = _trained_model(tmp_path)
+    header, *rows = labels.read_text().splitlines()
+    cols = [row.split(",") for row in rows]  # 6N+4 = 16 features, decision, alloc, cost
+    if bad_line == 2:  # four features, the decision and the cost of each row
+        rows = [",".join(c[:4] + [c[16], c[-1]]) for c in cols]
+    else:
+        rows[1] = ",".join(cols[1][:16] + ["999"] + cols[1][17:])
+    labels.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert _run("eval", str(model), str(labels)) == EXIT_IO
+    model.unlink()
+    assert _run("train", str(labels), "--out", str(model)) == EXIT_IO
+    assert not model.exists()
+    assert capsys.readouterr().err.count(f"{labels}:{bad_line}: ") == 2
+
+
 def test_eval_of_a_truncated_model_is_an_io_error(tmp_path):
     model, labels = _trained_model(tmp_path)
     model.write_bytes(model.read_bytes()[:-1])

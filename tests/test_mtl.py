@@ -121,13 +121,12 @@ def test_training_seed_changes_model(small_ds):
     assert save_model_bytes(m1) != save_model_bytes(m2)
 
 
-def test_overfit_tiny_batch(monkeypatch):
+def test_overfit_tiny_batch():
     """A hard sanity check on the optimizer: 32 samples must be memorized."""
     ds = label_instances(generate_instances(2, 32, seed=101))
     cfg = TrainConfig(epochs=5000, learning_rate=1e-2, batch_size=32, seed=0)
     model, log = train(ds, cfg)
     assert log[-1]["loss"] < 1e-2
-    monkeypatch.setattr(mtl, "MIN_TIMED_PASSES", 1)
     metrics = evaluate(model, ds)
     assert metrics.class_accuracy == 1.0
 
@@ -247,35 +246,76 @@ def test_unknown_decision_source_rejected(trained, small_ds):
     with pytest.raises(ConfigError):
         infer_solution(model, inst, decision_source="both")
     with pytest.raises(ConfigError):
-        evaluate(model, small_ds, decision_source="both")
+        mtl._decide(model, normalize(small_ds.features, model), "both")
 
 
-def test_evaluate_against_oracle(trained, small_ds, monkeypatch):
+def test_evaluate_against_oracle(trained, small_ds):
     model, _ = trained
-    monkeypatch.setattr(mtl, "MIN_TIMED_PASSES", 1)
     metrics = evaluate(model, small_ds)
     assert 0.0 <= metrics.class_accuracy <= 1.0
     assert metrics.reg_mse >= 0.0
-    assert metrics.mean_inference_time > 0.0
+    assert mtl.decision_seconds(model, small_ds) > 0.0
+
+
+def test_evaluate_makes_one_decision_pass(trained, small_ds, monkeypatch):
+    """Scoring reads no clock: one ``_decide`` pass, nothing timed."""
+    model, _ = trained
+    calls = []
+    original = mtl._decide
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mtl, "_decide", counted)
+    metrics = evaluate(model, small_ds)
+    assert len(calls) == 1
+    masks, alloc = original(model, normalize(small_ds.features, model))
+    assert metrics == mtl.EvalMetrics(float((masks == small_ds.decision).mean()),
+                                      float(((alloc - small_ds.alloc) ** 2).mean()))
+
+
+def _on_fake_clock(monkeypatch, work, stall_call):
+    """``work`` wrapped to advance a fake ``mtl.time`` clock by 1 s per call,
+    and by 1000 s on call number ``stall_call``; returns (wrapped, clock)."""
+    clock = {"now": 0.0, "calls": 0}
+
+    def timed(*args):
+        clock["calls"] += 1
+        clock["now"] += 1000.0 if clock["calls"] == stall_call else 1.0
+        return work(*args)
+
+    monkeypatch.setattr(mtl, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+    return timed, clock
 
 
 def test_evaluate_times_the_median_repeat(trained, small_ds, monkeypatch):
-    """One stalled repeat does not move the reported decision time."""
+    """One stalled repeat does not move the decision time of ``decision_seconds``."""
     model, _ = trained
-    clock = {"now": 0.0, "calls": 0}
-    original = mtl._decide
-
-    def decide_on_fake_clock(*args):
-        clock["calls"] += 1
-        clock["now"] += 1000.0 if clock["calls"] == 3 else 1.0  # call 1 is untimed
-        return original(*args)
-
-    monkeypatch.setattr(mtl, "_decide", decide_on_fake_clock)
-    monkeypatch.setattr(mtl, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+    decide, clock = _on_fake_clock(monkeypatch, mtl._decide, stall_call=2)
+    monkeypatch.setattr(mtl, "_decide", decide)
     monkeypatch.setattr(mtl, "MIN_TIMED_PASSES", 2 * small_ds.n_samples)
-    metrics = evaluate(model, small_ds)
-    assert clock["calls"] == 1 + mtl.TIMED_REPEATS * 2
-    assert metrics.mean_inference_time == 2.0 / (2 * small_ds.n_samples)
+    assert mtl.decision_seconds(model, small_ds) == 2.0 / (2 * small_ds.n_samples)
+    assert clock["calls"] == mtl.TIMED_REPEATS * 2
+
+
+@pytest.mark.parametrize("solver", ["mtl", "sbb"])
+def test_seconds_per_item_ignores_a_stalled_repeat(trained, monkeypatch, solver):
+    """Both sides of the learned-vs-sBB comparison are timed by one estimator."""
+    model, _ = trained
+    instances = generate_instances(2, 20, seed=106)
+    x = normalize(batch_features(instances), model)
+    work = {"mtl": lambda: mtl._decide(model, x),
+            "sbb": lambda: [solve_sbb(inst, SbbConfig(16)) for inst in instances]}[solver]
+    run, clock = _on_fake_clock(monkeypatch, work, stall_call=7)
+    monkeypatch.setattr(mtl, "MIN_TIMED_PASSES", 3 * len(instances))
+    assert mtl.seconds_per_item(run, len(instances)) == 3.0 / (3 * len(instances))
+    assert clock["calls"] == mtl.TIMED_REPEATS * 3
+
+
+def test_seconds_per_item_needs_an_item():
+    with pytest.raises(ValidationError):
+        mtl.seconds_per_item(lambda: None, 0)
 
 
 def test_solver_metrics_perfect_for_oracle(small_ds):
@@ -690,7 +730,6 @@ def test_class_decisions_need_a_class_head():
     assert infer_solution(model, inst) == infer_solution(model, inst, decision_source="reg")
     for call in (lambda: mtl._decide(model, x, "class"),
                  lambda: infer_solution(model, inst, decision_source="class"),
-                 lambda: evaluate(model, ds, decision_source="class"),
                  lambda: loss_and_grads(model, x, ds.decision, ds.alloc, 1.0, 1.0,
                                         _grad_like(model))):
         with pytest.raises(ConfigError, match="'reg'"):

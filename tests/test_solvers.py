@@ -1,17 +1,21 @@
+import ast
 import concurrent.futures
 import heapq
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgeoffload
 from edgeoffload import kernels
-from edgeoffload.errors import ConfigError, ValidationError
+from edgeoffload.errors import ConfigError, FileFormatError, ValidationError
 from edgeoffload.model import (
     DEFAULT_RANGES,
+    MAX_VEHICLES,
     CostWeights,
     EdgeParams,
     OffloadInstance,
@@ -105,6 +109,30 @@ def test_sbb_matches_exhaustive(seed, n):
     assert bb.proven_optimal
     assert bb.solution.decisions == ex.solution.decisions
     assert bb.solution.cost == pytest.approx(ex.solution.cost, rel=1e-9)
+
+
+def test_solve_reports_are_values():
+    """A report holds no clock reading: the same solve gives an equal report."""
+    instances = generate_instances(8, 20, seed=24)
+    for inst in instances:
+        assert solve_sbb(inst, SbbConfig(16)) == solve_sbb(inst, SbbConfig(16))
+    assert batch_solve_exhaustive(instances) == batch_solve_exhaustive(instances)
+
+
+@pytest.mark.parametrize("module", ["solvers.py", "kernels.py", "model.py", "split.py"])
+def test_solver_code_reads_no_wall_clock(module):
+    """Wall time is measured around the solvers, never inside what they return."""
+    source = (Path(edgeoffload.__file__).parent / module).read_text(encoding="utf-8")
+    imported, names = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module, *(alias.name for alias in node.names)}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert "time" not in imported
+    assert "perf_counter" not in imported | names
 
 
 def test_sbb_budget_terminates_early():
@@ -286,6 +314,30 @@ def test_labels_io_rejects_truncated_row(tmp_path):
     assert "3" in str(excinfo.value)  # names the offending line
 
 
+@pytest.mark.parametrize("n_cols", [1, 5, 6, 7 * (MAX_VEHICLES + 1) + 6])
+def test_labels_io_rejects_a_vehicle_count_outside_the_range(tmp_path, n_cols):
+    """Six columns would read as N = 0 and 7 * 17 + 6 as N = 17: no model
+    can be trained on either."""
+    path = tmp_path / "labels.csv"
+    path.write_text("offload-labels v1\n" + ",".join(["0"] * n_cols) + "\n")  # every column parses
+    with pytest.raises(FileFormatError, match=r"labels\.csv:2: bad column count"):
+        read_labels(path)
+
+
+@pytest.mark.parametrize("decision", ["999", "4", "-1", "1.0"])
+def test_labels_io_rejects_a_decision_that_is_no_mask(tmp_path, decision):
+    ds = label_instances(generate_instances(2, 3, seed=55))
+    path = tmp_path / "labels.csv"
+    write_labels(path, ds)
+    lines = path.read_text().splitlines()
+    cols = lines[3].split(",")
+    cols[16] = decision  # the 6N+4 = 16 features come first
+    lines[3] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=r"labels\.csv:4: "):
+        read_labels(path)
+
+
 def _identical_vehicles(n, edge_freq, cpu_cycles=1e9):
     v = VehicleParams(data_size=1e6, cpu_cycles=cpu_cycles, local_freq=1e9,
                       tx_power=10.0, channel_gain=1e-5, bandwidth=1e6)
@@ -386,7 +438,7 @@ def _solve_sbb_reference(inst, cfg):
     if proven:
         for mask in (0, *(1 << i for i in range(n))):
             consider(mask)
-    return _report_for_mask(inst, inc_mask, nodes=nodes, proven=proven, t0=0.0)
+    return _report_for_mask(inst, inc_mask, nodes=nodes, proven=proven)
 
 
 def _sbb_outcome(rep):
