@@ -19,7 +19,7 @@ from .solvers import (
     SbbConfig,
     SolveReport,
     optimal_allocation,
-    solve_exhaustive,
+    solve_batch,
     solve_sbb,
 )
 from .mtl import EvalMetrics, MtlModel, TrainConfig, evaluate, infer_solution, train

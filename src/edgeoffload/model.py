@@ -13,7 +13,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ MAX_VEHICLES = 16  # classifier head is 2^N-way; hard enumeration guard
 ALLOC_SUM_TOL = 1e-9
 
 INSTANCE_FILE_HEADER = "offload-instance v1"
+# json.dumps with options builds an encoder per call; instance records share this one
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 # feature layout: one block per vehicle (the VehicleParams fields, in order),
 # then edge_freq, noise_power, w_time and w_energy
@@ -443,8 +445,42 @@ def generate_instances(
 
 
 # ---------------------------------------------------------------------------
-# instance file I/O (line-delimited JSON under a versioned header)
+# data files: a versioned header line, then one record per line
 # ---------------------------------------------------------------------------
+
+def write_records(path, header: str, records: Iterable[str]) -> None:
+    """Write ``header``, then each record on its own line, one at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map("{}\n".format, records))  # no loop variable holds a record
+
+
+def read_records(path, header: str, parse: Callable[[str], object]) -> list:
+    """``parse`` of every non-blank line after the header line ``header``.
+
+    A record ``parse`` cannot read (``ValueError``, ``KeyError``, ``TypeError``,
+    ``OverflowError``, or ``RecursionError`` from JSON nested too deep) is a
+    ``FileFormatError``; a ``ValidationError`` or ``FileFormatError`` from
+    ``parse`` keeps its class.  Either message starts with ``path:line:``.
+    Bytes that are not UTF-8 read as U+FFFD and are refused like any other.
+    """
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise FileFormatError(f"{path}: expected header {header!r}, got {found!r}")
+        records = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(parse(line))
+            except (ValidationError, FileFormatError) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+                raise FileFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
+    return records
+
 
 def instance_to_record(inst: OffloadInstance) -> str:
     e, w = inst.edge, inst.weights
@@ -464,38 +500,47 @@ def instance_to_record(inst: OffloadInstance) -> str:
         "edge": {"edge_freq": e.edge_freq, "noise_power": e.noise_power},
         "weights": {"w_time": w.w_time, "w_energy": w.w_energy, "kappa": w.kappa},
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _RECORD_ENCODER.encode(payload)
+
+
+def _refuse_bools(payload) -> None:
+    """Raise if a parsed JSON record is or holds a true or false anywhere."""
+    values = [payload]
+    while values:
+        value = values.pop()
+        if isinstance(value, bool):
+            raise FileFormatError("instance records hold numbers, not true or false")
+        if isinstance(value, dict):
+            values.extend(value.values())
+        elif isinstance(value, list):
+            values.extend(value)
 
 
 def instance_from_record(line: str) -> OffloadInstance:
     payload = json.loads(line)
-    return OffloadInstance(
-        vehicles=tuple(VehicleParams(**v) for v in payload["vehicles"]),
-        edge=EdgeParams(**payload["edge"]),
-        weights=CostWeights(**payload["weights"]),
-        seed=int(payload["seed"]),
-    )
+    try:
+        inst = OffloadInstance(
+            vehicles=tuple(VehicleParams(**v) for v in payload["vehicles"]),
+            edge=EdgeParams(**payload["edge"]),
+            weights=CostWeights(**payload["weights"]),
+            seed=int(payload["seed"]),
+        )
+    except ValidationError:
+        _refuse_bools(payload)  # a false fails every positive-value check as 0
+        raise
+    # The range checks read a true as 1 and a false as 0, which only the
+    # weights and the seed may be, so only a line that spells true or a
+    # record with a zero there is searched for a bool: one text search per
+    # line, where "true" and "false" would be two.
+    w = inst.weights
+    if "true" in line or 0 in (w.w_time, w.w_energy, inst.seed):
+        _refuse_bools(payload)
+    return inst
 
 
 def write_instances(path, instances: Iterable[OffloadInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(INSTANCE_FILE_HEADER + "\n")
-        for inst in instances:
-            fh.write(instance_to_record(inst) + "\n")
+    write_records(path, INSTANCE_FILE_HEADER, map(instance_to_record, instances))
 
 
 def read_instances(path) -> list[OffloadInstance]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != INSTANCE_FILE_HEADER:
-            raise FileFormatError(f"{path}: expected header {INSTANCE_FILE_HEADER!r}, got {header!r}")
-        out = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(instance_from_record(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FileFormatError(f"{path}:{lineno}: malformed instance record: {exc}") from exc
-    return out
+    return read_records(path, INSTANCE_FILE_HEADER, instance_from_record)

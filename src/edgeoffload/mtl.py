@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, FileFormatError, ShapeError, ValidationError
 from .kernels import CHUNK_BYTES
 from .model import (MAX_VEHICLES, OffloadInstance, OffloadSolution, feature_count,
-                    raw_features, total_cost)
+                    raw_features, total_cost, write_records)
 from .solvers import LabeledDataset, _report_columns, mask_to_decisions, optimal_allocation
 
 MODEL_FILE_HEADER = b"mtl-model v2\n"
@@ -522,9 +522,6 @@ def load_model(path) -> MtlModel:
 
 
 def write_training_log(path, log: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss,ce_term,mse_term\n")
-        for row in log:
-            fh.write(
-                f"{row['epoch']},{row['loss']!r},{row['ce_term']!r},{row['mse_term']!r}\n"
-            )
+    write_records(path, "epoch,loss,ce_term,mse_term", (
+        f"{row['epoch']},{row['loss']!r},{row['ce_term']!r},{row['mse_term']!r}" for row in log
+    ))

@@ -12,6 +12,7 @@ per-vehicle bound under a node budget.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import os
@@ -27,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    ALLOC_SUM_TOL,
     MAX_VEHICLES,
     N_GLOBAL_FEATURES,
     PER_VEHICLE_FEATURES,
@@ -35,8 +37,10 @@ from .model import (
     batch_features,
     feature_count,
     local_cost,
+    read_records,
     total_cost,
     uplink_rate,
+    write_records,
 )
 
 LABELS_FILE_HEADER = "offload-labels v1"
@@ -187,26 +191,6 @@ def _exhaustive_columns(instances: list[OffloadInstance], features: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration (the labeling oracle)
-# ---------------------------------------------------------------------------
-
-def solve_exhaustive(inst: OffloadInstance) -> SolveReport:
-    """Enumerate all 2^N decisions with the closed-form allocation."""
-    return batch_solve_exhaustive([inst])[0]
-
-
-def batch_solve_exhaustive(instances: list[OffloadInstance]) -> list[SolveReport]:
-    """Vectorized exhaustive solve of a homogeneous batch (same N)."""
-    if not instances:
-        return []
-    n = instances[0].n_vehicles
-    mask, alloc, cost = _exhaustive_columns(instances, batch_features(instances))
-    return [SolveReport(OffloadSolution(decisions=mask_to_decisions(m, n), alloc=a, cost=c),
-                        nodes_explored=1 << n, proven_optimal=True)
-            for m, a, c in zip(mask.tolist(), alloc.tolist(), cost.tolist())]
-
-
-# ---------------------------------------------------------------------------
 # branch and bound over binary fixings
 # ---------------------------------------------------------------------------
 
@@ -343,9 +327,15 @@ def solve_batch(
     ``max_nodes`` is sbb's node budget (default: ``SbbConfig``'s).
     """
     cfg = _sbb_config(solver, max_nodes)
-    if solver == "exhaustive":
-        return batch_solve_exhaustive(instances)
-    return [solve_sbb(inst, cfg) for inst in instances]
+    if solver == "sbb":
+        return [solve_sbb(inst, cfg) for inst in instances]
+    if not instances:
+        return []
+    n = instances[0].n_vehicles
+    mask, alloc, cost = _exhaustive_columns(instances, batch_features(instances))
+    return [SolveReport(OffloadSolution(decisions=mask_to_decisions(m, n), alloc=a, cost=c),
+                        nodes_explored=1 << n, proven_optimal=True)
+            for m, a, c in zip(mask.tolist(), alloc.tolist(), cost.tolist())]
 
 
 def _report_columns(reports: list[SolveReport]):
@@ -408,48 +398,72 @@ def write_labels(path, ds: LabeledDataset) -> None:
         ds.alloc.tolist(),
         ds.cost.tolist(),
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LABELS_FILE_HEADER + "\n")
-        for features, decision, alloc, cost in rows:
-            fh.write(
-                ",".join([*map(repr, features), str(decision), *map(repr, alloc), repr(cost)])
-                + "\n"
-            )
+    write_records(path, LABELS_FILE_HEADER, (
+        ",".join([*map(repr, features), str(decision), *map(repr, alloc), repr(cost)])
+        for features, decision, alloc, cost in rows
+    ))
+
+
+def _label_refusal(ds: LabeledDataset) -> str | None:
+    """What some row of a labeled dataset holds that no solver writes, or None.
+
+    A row's alloc shares must split the edge CPU over its decision's
+    offloaders.  Each rule reads one row at a time, so a dataset breaks one
+    only where one of its rows does.
+    """
+    alloc, cost = ds.alloc, ds.cost
+    if not (np.isfinite(ds.features).all() and np.isfinite(alloc).all()
+            and np.isfinite(cost).all()):
+        return "a value that is not finite"
+    if (cost < 0.0).any():
+        return "a negative cost"
+    if (alloc < 0.0).any():
+        return "a negative alloc share"
+    offload = ((ds.decision[:, None] >> np.arange(ds.n_vehicles - 1, -1, -1)) & 1).astype(bool)
+    if ((alloc != 0.0) & ~offload).any():
+        return "an alloc share for a vehicle its decision keeps local"
+    if ((alloc == 0.0) & offload).any():
+        return "no alloc share for a vehicle its decision offloads"
+    # the shares add left to right, as sum() adds them, for one row or many
+    if (functools.reduce(np.add, alloc.T) > 1.0 + ALLOC_SUM_TOL).any():
+        return "alloc shares that sum above 1"
+    return None
 
 
 def read_labels(path) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != LABELS_FILE_HEADER:
-            raise FileFormatError(f"{path}: expected header {LABELS_FILE_HEADER!r}, got {header!r}")
-        feats, decs, allocs, costs = [], [], [], []
-        n_vehicles = None
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cols = line.split(",")
-            # feature_count(N) features + decision + N alloc entries + cost
-            if n_vehicles is None:
-                n_vehicles = (len(cols) - N_GLOBAL_FEATURES - 2) // (PER_VEHICLE_FEATURES + 1)
-                k = feature_count(n_vehicles)
-            if len(cols) != k + n_vehicles + 2 or not 1 <= n_vehicles <= MAX_VEHICLES:
-                raise FileFormatError(f"{path}:{lineno}: bad column count {len(cols)} "
-                                      f"(N={n_vehicles}, allowed 1..{MAX_VEHICLES})")
-            try:
-                feats.append([float(x) for x in cols[:k]])
-                decs.append(int(cols[k]))
-                allocs.append([float(x) for x in cols[k + 1 : k + 1 + n_vehicles]])
-                costs.append(float(cols[-1]))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: malformed label record: {exc}") from exc
-            if not 0 <= decs[-1] < 1 << n_vehicles:
-                raise FileFormatError(f"{path}:{lineno}: decision {decs[-1]} is not in 0..2^N-1")
-    if n_vehicles is None:
+    n = k = None  # the first row's column count fixes N
+
+    def parse(line: str) -> list[float]:
+        nonlocal n, k
+        cols = line.split(",")
+        # feature_count(N) features + decision + N alloc entries + cost
+        if n is None:
+            n = (len(cols) - N_GLOBAL_FEATURES - 2) // (PER_VEHICLE_FEATURES + 1)
+            k = feature_count(n)
+        if len(cols) != k + n + 2 or not 1 <= n <= MAX_VEHICLES:
+            raise FileFormatError(f"bad column count {len(cols)} "
+                                  f"(N={n}, allowed 1..{MAX_VEHICLES})")
+        decision = int(cols[k])
+        if not 0 <= decision < 1 << n:
+            raise FileFormatError(f"decision {decision} is not in 0..2^N-1")
+        return list(map(float, cols))
+
+    table = np.array(read_records(path, LABELS_FILE_HEADER, parse))
+    if n is None:
         raise FileFormatError(f"{path}: no label records")
-    return LabeledDataset(
-        features=np.array(feats),
-        decision=np.array(decs, dtype=np.int64),
-        alloc=np.array(allocs),
-        cost=np.array(costs),
-    )
+
+    def dataset(rows: np.ndarray) -> LabeledDataset:
+        return LabeledDataset(features=rows[:, :k].copy(), decision=rows[:, k].astype(np.int64),
+                              alloc=rows[:, k + 1 : -1].copy(), cost=rows[:, -1].copy())
+
+    ds = dataset(table)
+    if _label_refusal(ds) is not None:
+        # the dataset keeps no line numbers: read again, checking each row
+        # alone, which raises at the first refused row's line
+        def parse_checked(line: str) -> None:
+            reason = _label_refusal(dataset(np.array([parse(line)])))
+            if reason is not None:
+                raise FileFormatError(f"label row holds {reason}")
+
+        read_records(path, LABELS_FILE_HEADER, parse_checked)
+    return ds

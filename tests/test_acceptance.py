@@ -26,9 +26,9 @@ from edgeoffload.mtl import (
 )
 from edgeoffload.solvers import (
     SbbConfig,
-    batch_solve_exhaustive,
     label_instances,
     optimal_allocation,
+    solve_batch,
     solve_sbb,
 )
 from edgeoffload.split import eta_sweep, local_joint_crossover
@@ -46,7 +46,7 @@ def test_criterion_1_sbb_matches_exhaustive():
     checked = 0
     for n in range(2, 9):
         instances = generate_instances(n, 1000, seed=1000 + n)
-        exact = batch_solve_exhaustive(instances)
+        exact = solve_batch(instances)
         for inst, ex in zip(instances, exact):
             bb = solve_sbb(inst)
             checked += 1

@@ -439,3 +439,74 @@ def test_experiment_negative_seed_is_a_config_error(tmp_path, kind):
     out = tmp_path / "run"
     assert _run("experiment", "--kind", kind, "--seed", "-1", "--out", str(out)) == EXIT_CONFIG
     assert not out.exists()
+
+
+def _set(key, value):
+    """Edit of an instance record: ``key``, at the top, in the first vehicle
+    or in the weights, takes ``value``."""
+    def edit(record):
+        payload = json.loads(record)
+        for part in (payload, payload["vehicles"][0], payload["weights"]):
+            if key in part:
+                part[key] = value
+        return json.dumps(payload)
+    return edit
+
+
+@pytest.mark.parametrize("edit, code", [
+    pytest.param(lambda r: r[:-1], EXIT_IO, id="truncated-json"),
+    pytest.param(lambda r: "[" * 100_000, EXIT_IO, id="nested-too-deep"),
+    pytest.param(lambda r: r.replace("{", "\udcff", 1), EXIT_IO, id="not-utf8"),
+    pytest.param(_set("data_size", 10**400), EXIT_IO, id="int-too-large-for-a-float"),
+    pytest.param(_set("data_size", True), EXIT_IO, id="true"),
+    pytest.param(_set("w_time", False), EXIT_IO, id="false"),
+    pytest.param(_set("data_size", None), EXIT_IO, id="null"),
+    pytest.param(_set("data_size", "5"), EXIT_IO, id="string"),
+    pytest.param(_set("edge", []), EXIT_IO, id="edge-not-an-object"),
+    pytest.param(lambda r: r.replace('"bandwidth":', '"band":', 1), EXIT_IO, id="unknown-key"),
+    pytest.param(_set("data_size", -5.0), EXIT_VALIDATION, id="negative"),
+    pytest.param(_set("data_size", float("nan")), EXIT_VALIDATION, id="nan"),
+    pytest.param(_set("channel_gain", 2.0), EXIT_VALIDATION, id="gain-above-1"),
+    pytest.param(_set("vehicles", []), EXIT_VALIDATION, id="no-vehicles"),
+])
+def test_malformed_instance_files_are_refused_by_file_and_line(tmp_path, capsys, edit, code):
+    inst, labels = tmp_path / "inst.txt", tmp_path / "labels.csv"
+    assert _run("generate", "--count", "3", "--out", str(inst)) == EXIT_OK
+    lines = inst.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    inst.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    capsys.readouterr()
+    assert _run("solve", str(inst)) == code
+    assert _run("label", str(inst), "--out", str(labels)) == code
+    out, err = capsys.readouterr()
+    assert not out and err.count(f"{inst}:3: ") == 2
+    assert not labels.exists()
+
+
+# N=2 label rows: 16 features, the decision, two alloc shares and the cost
+@pytest.mark.parametrize("column, values", [
+    pytest.param(16, ["3", "nan", "0.5"], id="nan-alloc"),
+    pytest.param(0, ["inf"], id="inf-feature"),
+    pytest.param(16, ["3", "-5.0", "7.0"], id="negative-share"),
+    pytest.param(19, ["-1.0"], id="negative-cost"),
+    pytest.param(16, ["0", "0.5", "0.0"], id="share-for-a-local-vehicle"),
+    pytest.param(16, ["3", "1.0", "0.0"], id="no-share-for-an-offloader"),
+    pytest.param(16, ["3", "0.6", "0.6"], id="shares-above-1"),
+    pytest.param(16, ["1.0"], id="decision-not-an-int"),
+    pytest.param(3, ["abc"], id="not-a-number"),
+    pytest.param(3, ["\udcff"], id="not-utf8"),
+])
+def test_malformed_label_files_are_refused_by_file_and_line(tmp_path, capsys, column, values):
+    model, labels = _trained_model(tmp_path)
+    lines = labels.read_text().splitlines()
+    cols = lines[2].split(",")
+    cols[column : column + len(values)] = values
+    lines[2] = ",".join(cols)
+    labels.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    capsys.readouterr()
+    assert _run("eval", str(model), str(labels)) == EXIT_IO
+    model.unlink()
+    assert _run("train", str(labels), "--out", str(model)) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert not out and err.count(f"{labels}:3: ") == 2
+    assert not model.exists()

@@ -5,7 +5,7 @@ import pytest
 
 from edgeoffload import kernels
 from edgeoffload.model import generate_instances
-from edgeoffload.solvers import _instance_arrays, decisions_to_mask, solve_exhaustive
+from edgeoffload.solvers import _instance_arrays, decisions_to_mask, solve_batch
 
 
 def _arrays(n, count, seed):
@@ -46,7 +46,7 @@ def test_ref_kernel_matches_scalar_solver():
     instances, arrays = _arrays(4, 30, seed=60)
     masks, costs = kernels.exhaustive_argmin(*arrays)
     for inst, mask, cost in zip(instances, masks, costs):
-        rep = solve_exhaustive(inst)
+        rep = solve_batch([inst])[0]
         assert int(mask) == decisions_to_mask(rep.solution.decisions)
         assert cost == pytest.approx(rep.solution.cost, rel=1e-12)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -312,3 +313,54 @@ def test_instance_io_rejects_bad_header(tmp_path):
     path.write_text("not-a-header\n")
     with pytest.raises(FileFormatError):
         read_instances(path)
+
+
+def _instance_file_with(tmp_path, key, value):
+    """An N=2 instance file whose second record (line 3) holds ``value`` as ``key``."""
+    path = tmp_path / "inst.txt"
+    write_instances(path, generate_instances(2, 3, seed=9))
+    lines = path.read_text().splitlines()
+    payload = json.loads(lines[2])
+    for target in (payload, payload["vehicles"][0], payload["weights"]):
+        if key in target:
+            target[key] = "@"
+    lines[2] = json.dumps(payload, separators=(",", ":")).replace('"@"', value)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("key, value, error", [
+    pytest.param("data_size", "1" + "0" * 400, FileFormatError, id="int-too-large-for-a-float"),
+    ("data_size", "true", FileFormatError),
+    ("seed", "true", FileFormatError),
+    ("data_size", "false", FileFormatError),  # fails the positive check as 0
+    ("w_energy", "false", FileFormatError),  # would read as a weight of 0
+    ("seed", "false", FileFormatError),
+    ("data_size", "-5.0", InvalidParameterError),
+])
+def test_instance_io_refuses_a_value_by_file_and_line(tmp_path, key, value, error):
+    path = _instance_file_with(tmp_path, key, value)
+    with pytest.raises(error, match=r"inst\.txt:3: "):
+        read_instances(path)
+
+
+def test_instance_io_reads_a_zero_weight_and_seed(tmp_path):
+    path = _instance_file_with(tmp_path, "w_energy", "0.0")
+    lines = path.read_text().splitlines()
+    lines[2] = re.sub(r'"seed":\d+', '"seed":0', lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    inst = read_instances(path)[1]
+    assert (inst.weights.w_energy, inst.seed) == (0.0, 0)
+
+
+def test_instance_io_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "inst.txt"
+    write_instances(path, generate_instances(2, 2, seed=9))
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, "", first, "  ", second]) + "\n")
+    assert read_instances(path) == generate_instances(2, 2, seed=9)
+    path.write_text("\n".join([header, "", first, "", "{"]) + "\n")
+    with pytest.raises(FileFormatError, match=r"inst\.txt:5: malformed record"):
+        read_instances(path)
+    path.write_text(header + "\n\n")
+    assert read_instances(path) == []

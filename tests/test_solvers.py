@@ -30,14 +30,12 @@ from edgeoffload.solvers import (
     _report_for_mask,
     LabeledDataset,
     SbbConfig,
-    batch_solve_exhaustive,
     decisions_to_mask,
     label_instances,
     mask_to_decisions,
     optimal_allocation,
     read_labels,
     solve_batch,
-    solve_exhaustive,
     solve_sbb,
     write_labels,
 )
@@ -75,7 +73,7 @@ def test_optimal_allocation_zero_for_local():
 def test_exhaustive_beats_every_candidate():
     """The exhaustive report must cost no more than any enumerated strategy."""
     inst = generate_instances(3, 1, seed=21)[0]
-    rep = solve_exhaustive(inst)
+    rep = solve_batch([inst])[0]
     for mask in range(2**3):
         dec = mask_to_decisions(mask, 3)
         alloc = optimal_allocation(inst, dec)
@@ -85,16 +83,16 @@ def test_exhaustive_beats_every_candidate():
 
 def test_exhaustive_cost_matches_total_cost():
     for inst in generate_instances(4, 20, seed=22):
-        rep = solve_exhaustive(inst)
+        rep = solve_batch([inst])[0]
         recomputed = total_cost(inst, rep.solution.decisions, rep.solution.alloc)
         assert rep.solution.cost == pytest.approx(recomputed, rel=1e-12)
 
 
 def test_batch_exhaustive_matches_scalar():
     instances = generate_instances(5, 50, seed=23)
-    batch = batch_solve_exhaustive(instances)
+    batch = solve_batch(instances)
     for inst, rep in zip(instances, batch):
-        single = solve_exhaustive(inst)
+        single = solve_batch([inst])[0]
         assert rep.solution.decisions == single.solution.decisions
         assert rep.solution.cost == pytest.approx(single.solution.cost, rel=1e-12)
 
@@ -104,7 +102,7 @@ def test_batch_exhaustive_matches_scalar():
        n=st.integers(min_value=1, max_value=6))
 def test_sbb_matches_exhaustive(seed, n):
     inst = generate_instances(n, 1, seed=seed)[0]
-    ex = solve_exhaustive(inst)
+    ex = solve_batch([inst])[0]
     bb = solve_sbb(inst)
     assert bb.proven_optimal
     assert bb.solution.decisions == ex.solution.decisions
@@ -116,7 +114,7 @@ def test_solve_reports_are_values():
     instances = generate_instances(8, 20, seed=24)
     for inst in instances:
         assert solve_sbb(inst, SbbConfig(16)) == solve_sbb(inst, SbbConfig(16))
-    assert batch_solve_exhaustive(instances) == batch_solve_exhaustive(instances)
+    assert solve_batch(instances) == solve_batch(instances)
 
 
 @pytest.mark.parametrize("module", ["solvers.py", "kernels.py", "model.py", "split.py"])
@@ -148,7 +146,7 @@ def test_sbb_budget_terminates_early():
 def test_sbb_budgeted_cost_never_below_optimum():
     for inst in generate_instances(7, 30, seed=32):
         budgeted = solve_sbb(inst, SbbConfig(max_nodes=4))
-        exact = solve_exhaustive(inst)
+        exact = solve_batch([inst])[0]
         assert budgeted.solution.cost >= exact.solution.cost - 1e-12
 
 
@@ -176,7 +174,7 @@ def test_label_instances_matches_exhaustive():
     ds = label_instances(instances)
     assert ds.n_samples == 40 and ds.n_vehicles == 3
     for i, inst in enumerate(instances):
-        rep = solve_exhaustive(inst)
+        rep = solve_batch([inst])[0]
         assert int(ds.decision[i]) == decisions_to_mask(rep.solution.decisions)
         np.testing.assert_array_equal(ds.alloc[i], rep.solution.alloc)
         assert ds.cost[i] == rep.solution.cost
@@ -281,7 +279,7 @@ def test_label_instances_bounds_its_pool(monkeypatch, workers, n_instances, pool
     instances = generate_instances(2, n_instances, seed=55)
     ds = label_instances(instances, workers=workers)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
-    serial = batch_solve_exhaustive(instances)
+    serial = solve_batch(instances)
     np.testing.assert_array_equal(ds.cost, [r.solution.cost for r in serial])
 
 
@@ -338,6 +336,38 @@ def test_labels_io_rejects_a_decision_that_is_no_mask(tmp_path, decision):
         read_labels(path)
 
 
+# N=2 label rows: 16 features, the decision, two alloc shares and the cost
+@pytest.mark.parametrize("column, values, reason", [
+    (16, ["3", "nan", "0.5"], "not finite"),
+    (0, ["inf"], "not finite"),
+    (16, ["3", "-5.0", "7.0"], "negative alloc share"),
+    (19, ["-1.0"], "negative cost"),
+    (16, ["0", "0.5", "0.0"], "a vehicle its decision keeps local"),
+    (16, ["3", "1.0", "0.0"], "a vehicle its decision offloads"),
+    (16, ["3", "0.6", "0.6"], "sum above 1"),
+])
+def test_labels_io_refuses_values_no_solver_writes(tmp_path, column, values, reason):
+    path = tmp_path / "labels.csv"
+    write_labels(path, label_instances(generate_instances(2, 3, seed=55)))
+    lines = path.read_text().splitlines()
+    cols = lines[3].split(",")
+    cols[column : column + len(values)] = values
+    lines[3] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=rf"labels\.csv:4: label row holds .*{reason}"):
+        read_labels(path)
+
+
+@pytest.mark.parametrize("n_vehicles, solver, max_nodes", [
+    (2, "exhaustive", None), (8, "exhaustive", None), (2, "sbb", None), (8, "sbb", 2),
+])
+def test_labels_io_loads_what_either_solver_writes(tmp_path, n_vehicles, solver, max_nodes):
+    ds = label_instances(generate_instances(n_vehicles, 40, seed=56), solver, max_nodes)
+    path = tmp_path / "labels.csv"
+    write_labels(path, ds)
+    np.testing.assert_array_equal(read_labels(path).alloc, ds.alloc)
+
+
 def _identical_vehicles(n, edge_freq, cpu_cycles=1e9):
     v = VehicleParams(data_size=1e6, cpu_cycles=cpu_cycles, local_freq=1e9,
                       tx_power=10.0, channel_gain=1e-5, bandwidth=1e6)
@@ -358,7 +388,7 @@ def test_sbb_tie_break_matches_exhaustive_lexicographic():
         costs = [mask_cost(m) for m in range(16)]
         ties = [m for m, c in enumerate(costs) if c == min(costs)]
         assert len(ties) == math.comb(4, offloaders)
-        ex = solve_exhaustive(inst)
+        ex = solve_batch([inst])[0]
         assert decisions_to_mask(ex.solution.decisions) == ties[0]
         assert solve_sbb(inst).solution.decisions == ex.solution.decisions
 
@@ -370,7 +400,7 @@ def test_exact_sbb_ties_match_exhaustive_for_identical_vehicles(cpu_cycles, edge
     # with the kernel's own operations, so it must pick the kernel's mask
     for n in range(2, 11):
         inst = _identical_vehicles(n, edge_freq, cpu_cycles)
-        ex = solve_exhaustive(inst)
+        ex = solve_batch([inst])[0]
         bb = solve_sbb(inst)
         assert bb.proven_optimal
         assert bb.solution.decisions == ex.solution.decisions, n
