@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .model import DEFAULT_RANGES, CostWeights, EdgeParams, VehicleParams, validate_ranges
 from .mtl import TrainConfig
-from .split import AccuracyModel, InferenceScenario, LayerProfile
+from .split import AccuracyModel, InferenceScenario, LayerProfile, eta_steps
 
 OFFLOAD_KEYS = {
     "n_vehicles",
@@ -188,7 +188,5 @@ def split_scenario(kv: dict[str, str] | None = None) -> tuple[InferenceScenario,
         split_index=as_int(kv, "split_index"),
     )
     eta_step = as_float(kv, "eta_step")
-    if not 0.0 < eta_step <= 1.0 or abs(round(1.0 / eta_step) * eta_step - 1.0) > 1e-9:
-        raise ConfigError("eta_step must be in (0, 1] and divide 1 into equal steps, "
-                          f"got {eta_step!r}")
+    eta_steps(eta_step)  # refuses a step that does not divide 1
     return scenario, eta_step

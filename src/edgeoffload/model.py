@@ -128,21 +128,26 @@ class OffloadSolution:
     cost: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "decisions", tuple(int(d) for d in self.decisions))
-        object.__setattr__(self, "alloc", tuple(float(a) for a in self.alloc))
-        if len(self.decisions) != len(self.alloc):
+        decisions, alloc = tuple(self.decisions), tuple(map(float, self.alloc))
+        if len(decisions) != len(alloc):
             raise InvalidAllocationError("decisions and alloc lengths differ")
-        if any(d not in (0, 1) for d in self.decisions):
-            raise InvalidAllocationError("decisions must be 0/1")
-        for d, a in zip(self.decisions, self.alloc):
-            if a < 0.0:
-                raise InvalidAllocationError(f"negative allocation {a!r}")
-            if (d == 0) != (a == 0.0):
-                raise InvalidAllocationError(
-                    f"alloc must be zero exactly for local vehicles (d={d}, alloc={a!r})"
-                )
-        if sum(self.alloc) > 1.0 + ALLOC_SUM_TOL:
-            raise InvalidAllocationError(f"allocations sum to {sum(self.alloc)!r} > 1")
+        total = 0.0  # the shares add left to right, as the label reader adds them
+        for d, a in zip(decisions, alloc):
+            if d == 1:
+                if not a > 0.0:  # refuses nan too
+                    raise InvalidAllocationError(f"an offloading vehicle needs a share > 0, "
+                                                 f"got {a!r}")
+            elif d == 0:
+                if a != 0.0:
+                    raise InvalidAllocationError(f"a local vehicle's share must be exactly 0, "
+                                                 f"got {a!r}")
+            else:
+                raise InvalidAllocationError(f"decisions must be 0/1, got {d!r}")
+            total += a
+        if total > 1.0 + ALLOC_SUM_TOL:
+            raise InvalidAllocationError(f"allocations sum to {total!r} > 1")
+        object.__setattr__(self, "decisions", tuple(map(int, decisions)))
+        object.__setattr__(self, "alloc", alloc)
         if self.cost < 0.0 or not math.isfinite(self.cost):
             raise InvalidAllocationError(f"cost must be finite and >= 0, got {self.cost!r}")
 
@@ -518,22 +523,25 @@ def _refuse_bools(payload) -> None:
 
 def instance_from_record(line: str) -> OffloadInstance:
     payload = json.loads(line)
+    seed = payload["seed"]
+    if type(seed) is not int:  # 1.5, "7" and true are not seeds
+        raise FileFormatError(f"the seed must be a JSON integer, got {seed!r}")
     try:
         inst = OffloadInstance(
             vehicles=tuple(VehicleParams(**v) for v in payload["vehicles"]),
             edge=EdgeParams(**payload["edge"]),
             weights=CostWeights(**payload["weights"]),
-            seed=int(payload["seed"]),
+            seed=seed,
         )
     except ValidationError:
         _refuse_bools(payload)  # a false fails every positive-value check as 0
         raise
     # The range checks read a true as 1 and a false as 0, which only the
-    # weights and the seed may be, so only a line that spells true or a
-    # record with a zero there is searched for a bool: one text search per
-    # line, where "true" and "false" would be two.
+    # weights may be, so only a line that spells true or a record with a
+    # zero weight is searched for a bool: one text search per line, where
+    # "true" and "false" would be two.
     w = inst.weights
-    if "true" in line or 0 in (w.w_time, w.w_energy, inst.seed):
+    if "true" in line or 0 in (w.w_time, w.w_energy):
         _refuse_bools(payload)
     return inst
 

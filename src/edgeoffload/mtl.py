@@ -27,6 +27,8 @@ MODEL_FILE_HEADER = b"mtl-model v2\n"
 DEFAULT_HIDDEN = (12, 12)  # largest symmetric pair keeping the N=2 file <= 2048 B
 TIMED_REPEATS = 5  # seconds_per_item() takes the median of this many timed repeats
 MIN_TIMED_PASSES = 1000  # and each repeat handles at least this many items
+# weight of vehicle i's bit in a mask of N vehicles: the last N entries, 2^(N-1-i)
+_MASK_BIT_WEIGHTS = 1 << np.arange(MAX_VEHICLES - 1, -1, -1)
 
 
 def _param_shapes(
@@ -121,11 +123,10 @@ class EvalMetrics:
 # ---------------------------------------------------------------------------
 
 def normalize(features: np.ndarray, model: MtlModel) -> np.ndarray:
-    """Z-score-normalized feature rows of length 6N+4; a vector becomes one row."""
-    features = np.atleast_2d(features)
-    if features.shape[1] != feature_count(model.n_vehicles):
+    """Z-score-normalized feature rows, an (n, 6N+4) array."""
+    if features.ndim != 2 or features.shape[1] != feature_count(model.n_vehicles):
         raise ShapeError(
-            f"expected {feature_count(model.n_vehicles)} features, got {features.shape[1]}"
+            f"expected rows of {feature_count(model.n_vehicles)} features, got {features.shape}"
         )
     return (features - model.feature_mean) / model.feature_std
 
@@ -145,7 +146,7 @@ def _project_alloc(y: np.ndarray) -> np.ndarray:
     """Clamp to >= 0, renormalize rows whose sum exceeds 1."""
     r = np.maximum(y, 0.0)
     s = r.sum(axis=1, keepdims=True)
-    return np.where(s > 1.0, r / np.where(s > 0.0, s, 1.0), r)
+    return np.divide(r, s, out=r, where=s > 1.0)
 
 
 def forward(
@@ -385,7 +386,7 @@ def _decide(
     _, _, alloc = forward(model, x, with_class=False, acts=acts)
     n = model.n_vehicles
     if decision_source == "reg":
-        return (alloc > 0.5 / n) @ (1 << np.arange(n - 1, -1, -1)), alloc
+        return (alloc > 0.5 / n) @ _MASK_BIT_WEIGHTS[MAX_VEHICLES - n :], alloc
     h, (wc, bc) = acts[-1], _class_head(model)
     rows = max(1, CHUNK_BYTES // (8 << n))
     masks = np.empty(len(h), dtype=np.intp)
@@ -400,26 +401,29 @@ def infer_solution(
     """One feedforward pass mapped to a guaranteed-feasible solution.
 
     The offload set comes from the model's own head unless
-    ``decision_source`` names one (see ``_decide``).
+    ``decision_source`` names one (see ``_decide``), of which this is the
+    one-row case.  The offloaders get their projected shares over the
+    shares' sum, or the closed-form ``optimal_allocation`` when one of those
+    shares is not > 0; the mapping runs on Python floats.
     """
     if inst.n_vehicles != model.n_vehicles:
         raise ShapeError(
             f"model is for N={model.n_vehicles}, instance has N={inst.n_vehicles}"
         )
-    masks, alloc_pred = _decide(model, normalize(raw_features(inst), model), decision_source)
-    n = model.n_vehicles
-    decisions = mask_to_decisions(int(masks[0]), n)
-    chosen = np.array(decisions, dtype=bool)
-    masked = np.where(chosen, alloc_pred[0], 0.0)
-    total = masked.sum()
-    if chosen.any() and (total <= 0.0 or np.any(masked[chosen] <= 0.0)):
-        alloc = optimal_allocation(inst, decisions)  # degenerate head output
-    elif chosen.any():
-        alloc = masked / total
+    masks, alloc_pred = _decide(model, normalize(raw_features(inst)[None], model),
+                                decision_source)
+    decisions = mask_to_decisions(int(masks[0]), model.n_vehicles)
+    masked = np.where(decisions, alloc_pred[0], 0.0)
+    # numpy's reduction, pairwise from 8 terms on, as a batched row sum adds
+    total = float(masked.sum())
+    shares = masked.tolist()
+    if not any(decisions):
+        alloc = shares  # every share is 0.0
+    elif total <= 0.0 or any(a <= 0.0 for a, d in zip(shares, decisions) if d):
+        alloc = optimal_allocation(inst, decisions).tolist()  # degenerate head output
     else:
-        alloc = np.zeros(n)
-    cost = total_cost(inst, decisions, alloc)
-    return OffloadSolution(decisions=decisions, alloc=tuple(alloc), cost=cost)
+        alloc = [a / total for a in shares]
+    return OffloadSolution(decisions, tuple(alloc), total_cost(inst, decisions, alloc))
 
 
 def _score(masks: np.ndarray, alloc: np.ndarray, ds: LabeledDataset) -> EvalMetrics:

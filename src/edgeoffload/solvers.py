@@ -415,6 +415,17 @@ def _label_refusal(ds: LabeledDataset) -> str | None:
     if not (np.isfinite(ds.features).all() and np.isfinite(alloc).all()
             and np.isfinite(cost).all()):
         return "a value that is not finite"
+    # the rules of VehicleParams, EdgeParams and CostWeights
+    data, cycles, freq, power, gain, bandwidth, edge_freq, noise, w_time, w_energy = (
+        _feature_columns(ds.features)
+    )
+    if any((col <= 0.0).any() for col in (data, cycles, freq, power, gain, bandwidth,
+                                          edge_freq, noise)):
+        return "a vehicle field, edge_freq or noise_power that is not > 0"
+    if (gain > 1.0).any():
+        return "a channel_gain above 1"
+    if ((w_time < 0.0) | (w_energy < 0.0) | ((w_time == 0.0) & (w_energy == 0.0))).any():
+        return "a negative weight or two zero weights"
     if (cost < 0.0).any():
         return "a negative cost"
     if (alloc < 0.0).any():

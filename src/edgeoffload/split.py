@@ -168,10 +168,20 @@ def eta_sweep(sc: InferenceScenario, etas) -> list[EtaSweepRecord]:
     ]
 
 
+def eta_steps(eta_step: float) -> int:
+    """The number of equal steps ``eta_step`` divides [0, 1] into; a step
+    outside (0, 1] or that does not divide 1 is a ``ConfigError``."""
+    if not 0.0 < eta_step <= 1.0 or abs(round(1.0 / eta_step) * eta_step - 1.0) > 1e-9:
+        raise ConfigError("eta_step must be in (0, 1] and divide 1 into equal steps, "
+                          f"got {eta_step!r}")
+    return round(1.0 / eta_step)
+
+
 def eta_sweep_csv(sc: InferenceScenario, eta_step: float) -> str:
-    """The fig6 CSV: the three strategy costs on the grid 0, eta_step, ..., 1."""
-    n_steps = int(round(1.0 / eta_step))
-    records = eta_sweep(sc, [min(1.0, i * eta_step) for i in range(n_steps + 1)])
+    """The fig6 CSV: the three strategy costs on the grid i / n, i = 0..n,
+    of the n = ``eta_steps(eta_step)`` steps."""
+    n_steps = eta_steps(eta_step)
+    records = eta_sweep(sc, [i / n_steps for i in range(n_steps + 1)])
     return "eta,cost_local,cost_edge,cost_joint\n" + "".join(
         f"{r.eta!r},{r.cost_local!r},{r.cost_edge!r},{r.cost_joint!r}\n" for r in records
     )

@@ -463,6 +463,8 @@ def _set(key, value):
     pytest.param(_set("data_size", None), EXIT_IO, id="null"),
     pytest.param(_set("data_size", "5"), EXIT_IO, id="string"),
     pytest.param(_set("edge", []), EXIT_IO, id="edge-not-an-object"),
+    pytest.param(_set("seed", 1.5), EXIT_IO, id="fractional-seed"),
+    pytest.param(_set("seed", "7"), EXIT_IO, id="string-seed"),
     pytest.param(lambda r: r.replace('"bandwidth":', '"band":', 1), EXIT_IO, id="unknown-key"),
     pytest.param(_set("data_size", -5.0), EXIT_VALIDATION, id="negative"),
     pytest.param(_set("data_size", float("nan")), EXIT_VALIDATION, id="nan"),
@@ -493,6 +495,9 @@ def test_malformed_instance_files_are_refused_by_file_and_line(tmp_path, capsys,
     pytest.param(16, ["3", "1.0", "0.0"], id="no-share-for-an-offloader"),
     pytest.param(16, ["3", "0.6", "0.6"], id="shares-above-1"),
     pytest.param(16, ["1.0"], id="decision-not-an-int"),
+    pytest.param(0, ["-1.0"], id="negative-data-size"),
+    pytest.param(4, ["5.0"], id="gain-above-1"),
+    pytest.param(14, ["0.0", "0.0"], id="both-weights-zero"),
     pytest.param(3, ["abc"], id="not-a-number"),
     pytest.param(3, ["\udcff"], id="not-utf8"),
 ])

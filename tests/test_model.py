@@ -117,6 +117,19 @@ class TestOffloadSolution:
         with pytest.raises(InvalidAllocationError):
             OffloadSolution(decisions=(0,), alloc=(0.0,), cost=math.inf)
 
+    @pytest.mark.parametrize("decisions, alloc", [
+        pytest.param((1, 1), (math.nan, 0.5), id="nan-share"),
+        pytest.param((0, 1), (math.nan, 0.5), id="nan-share-local"),
+        pytest.param((2, 0), (0.5, 0.0), id="decision-2"),
+        pytest.param((1, -1), (0.5, 0.0), id="decision-minus-1"),
+        pytest.param((1, 1), (-0.5, 0.5), id="negative-share"),
+        pytest.param((0, 1), (-0.5, 0.5), id="negative-share-local"),
+        pytest.param((1, 1), (0.5,), id="unequal-lengths"),
+    ])
+    def test_refuses(self, decisions, alloc):
+        with pytest.raises(InvalidAllocationError):
+            OffloadSolution(decisions=decisions, alloc=alloc, cost=1.0)
+
     def test_valid_solution_accepted(self):
         sol = OffloadSolution(decisions=(1, 0), alloc=(1.0, 0.0), cost=0.5)
         assert sol.decisions == (1, 0)
@@ -336,6 +349,9 @@ def _instance_file_with(tmp_path, key, value):
     ("data_size", "false", FileFormatError),  # fails the positive check as 0
     ("w_energy", "false", FileFormatError),  # would read as a weight of 0
     ("seed", "false", FileFormatError),
+    ("seed", "1.5", FileFormatError),
+    ("seed", "7.0", FileFormatError),
+    ("seed", '"7"', FileFormatError),
     ("data_size", "-5.0", InvalidParameterError),
 ])
 def test_instance_io_refuses_a_value_by_file_and_line(tmp_path, key, value, error):

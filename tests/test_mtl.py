@@ -93,6 +93,12 @@ def test_forward_shapes(trained, small_ds):
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(16,), (3, 15)])
+def test_normalize_takes_rows_of_the_feature_count_only(trained, shape):
+    with pytest.raises(ShapeError):
+        normalize(np.ones(shape), trained[0])
+
+
 def test_forward_alloc_projected_to_simplex(trained, small_ds):
     model, _ = trained
     x = normalize(small_ds.features, model)
@@ -163,13 +169,14 @@ def _infer_solution_per_call(model, inst, decision_source):
     h = feats[None, :]
     for w, b in model.trunk:
         h = np.maximum(h @ w + b, 0.0)
-    wc, bc = model.class_head
     wr, br = model.reg_head
-    probs = _softmax(h @ wc + bc)[0]
-    alloc_pred = mtl._project_alloc(h @ wr + br)[0]
+    r = np.maximum(h @ wr + br, 0.0)
+    s = r.sum(axis=1, keepdims=True)
+    alloc_pred = np.where(s > 1.0, r / np.where(s > 0.0, s, 1.0), r)[0]
     n = model.n_vehicles
     if decision_source == "class":
-        mask = int(np.argmax(probs))
+        wc, bc = model.class_head
+        mask = int(np.argmax(_softmax(h @ wc + bc)[0]))
     else:
         mask = 0
         for i in range(n):
@@ -190,13 +197,18 @@ def _infer_solution_per_call(model, inst, decision_source):
 
 @pytest.fixture(scope="module")
 def models_by_n():
+    """Models at N = 1, 2, 3, 5 and 8, and a chi_c = 0 model (no 2^16 head) at N = 16."""
     return {n: train(label_instances(generate_instances(n, 400, seed=120 + n)),
-                     TrainConfig(epochs=4, hidden_sizes=(16, 16), seed=0))[0]
-            for n in (2, 3, 5, 8)}
+                     TrainConfig(chi_c=float(n < 16), epochs=4, hidden_sizes=(16, 16), seed=0))[0]
+            for n in (1, 2, 3, 5, 8, 16)}
 
 
-@pytest.mark.parametrize("source", ["class", "reg"])
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+# every (N, decision source) pair of models_by_n; its N=16 model decides by "reg" only
+SOURCES_BY_N = [(n, source) for n in (1, 2, 3, 5, 8) for source in ("class", "reg")]
+SOURCES_BY_N.append((16, "reg"))
+
+
+@pytest.mark.parametrize("n, source", SOURCES_BY_N)
 def test_infer_solution_matches_per_call_reference(models_by_n, n, source):
     model = models_by_n[n]
     for inst in generate_instances(n, 400, seed=130 + n):
@@ -207,8 +219,7 @@ def test_infer_solution_matches_per_call_reference(models_by_n, n, source):
         assert sol.cost == cost
 
 
-@pytest.mark.parametrize("source", ["class", "reg"])
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n, source", SOURCES_BY_N)
 def test_infer_solution_mask_is_row_of_batched_rule(models_by_n, n, source):
     model = models_by_n[n]
     instances = generate_instances(n, 300, seed=140 + n)

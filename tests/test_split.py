@@ -13,6 +13,7 @@ from edgeoffload.split import (
     BITS_PER_BYTE,
     best_split,
     eta_sweep,
+    eta_sweep_csv,
     local_joint_crossover,
     segment_cost,
     strategy_cost,
@@ -110,6 +111,18 @@ def test_eta_sweep_requires_sorted(scenario):
 def test_eta_sweep_rejects_out_of_range(scenario):
     with pytest.raises(InvalidParameterError):
         eta_sweep(scenario, [-0.1, 0.5])
+
+
+def test_eta_sweep_csv_prints_the_decimal_grid(scenario):
+    etas = [line.split(",")[0] for line in eta_sweep_csv(scenario, 0.05).splitlines()[1:]]
+    assert etas == [repr(round(0.05 * i, 2)) for i in range(21)]
+    assert etas[3] == "0.15" and etas[-1] == "1.0"
+
+
+@pytest.mark.parametrize("step", [0.3, 0.0, 1.5, math.nan])
+def test_eta_sweep_csv_refuses_a_step_that_does_not_divide_one(scenario, step):
+    with pytest.raises(ConfigError, match="divide 1"):
+        eta_sweep_csv(scenario, step)
 
 
 def test_eta_sweep_monotone_non_decreasing(scenario):
@@ -223,7 +236,7 @@ def test_costs_equal_the_stored_eta_reference(kv):
         upload = 0.0 if k == L else _old_output_size(sc.profile, k)
         assert segment_cost(sc, k) == _old_segment_cost(sc, k, upload)
     assert best_split(sc) == _old_best_split(sc)
-    for eta in [min(1.0, i * 0.05) for i in range(21)]:  # the shipped fig6 grid
+    for eta in [i / 20 for i in range(21)]:  # the shipped fig6 grid
         with_eta = SimpleNamespace(**vars(sc), eta=eta)
         for name in ("local", "edge", "joint"):
             assert strategy_cost(sc, name, eta) == _old_strategy_cost(with_eta, name)
