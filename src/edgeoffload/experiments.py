@@ -17,7 +17,8 @@ from . import __version__
 from .config import offload_config, overlay, parse_kv_text, split_scenario, train_config
 from .errors import ConfigError, EdgeOffloadError
 from .model import MAX_VEHICLES, generate_instances
-from .mtl import TrainConfig, decision_seconds, evaluate, seconds_per_item, solver_metrics, train
+from .mtl import (TrainConfig, decision_seconds, evaluate, infer_solution, seconds_per_item,
+                  solver_metrics, train)
 from .solvers import SbbConfig, label_instances, solve_sbb
 from .split import InferenceScenario, eta_sweep_csv
 
@@ -222,7 +223,11 @@ def _run_fig5b(stages: _Stages, *, seed: int, ranges: dict[str, tuple[float, flo
         sbb_metrics = solver_metrics(stages.run(f"sbb@N={n}", solve_all), test_ds)
         rows.append((n, mtl_metrics.class_accuracy, sbb_metrics.class_accuracy,
                      mtl_metrics.reg_mse, sbb_metrics.reg_mse))
+        def infer_all(test_insts=test_insts):
+            return [infer_solution(model, inst) for inst in test_insts]
         stages.measurements[f"time_mtl@N={n}"] = decision_seconds(model, test_ds)
+        # the per-call pair: one infer_solution against one solve_sbb per instance
+        stages.measurements[f"time_infer@N={n}"] = seconds_per_item(infer_all, len(test_insts))
         stages.measurements[f"time_sbb@N={n}"] = seconds_per_item(solve_all, len(test_insts))
 
     csv = "n,acc_mtl,acc_sbb,mse_mtl,mse_sbb\n" + "".join(

@@ -76,24 +76,24 @@ def mask_cost(local, off_base, sqrt_cycles, wt_over_f: float):
 
     The kernel starts from the all-local sum ``local.sum()`` and adds each
     offloader's ``off_base - local`` and root, from vehicle N-1 (the lowest
-    bit) down to vehicle 0, then adds ``(s*s) * wt_over_f``.  The arguments
-    are one instance's 1-D rows; the sum and the deltas are taken once here.
+    bit) down to vehicle 0, then adds ``(s*s) * wt_over_f``; the walk visits
+    only the set bits, in that order.  The arguments are one instance's rows
+    as sequences of floats; the sum and the deltas are taken once here.
     """
-    local = np.asarray(local, dtype=np.float64)
-    base = float(local.sum())
+    base = float(np.add.reduce(local))  # numpy's sum, pairwise from 8 terms on
     # index j holds vehicle N-1-j, the vehicle of bit j
-    delta = (np.asarray(off_base, dtype=np.float64) - local)[::-1].tolist()
-    roots = np.asarray(sqrt_cycles, dtype=np.float64)[::-1].tolist()
+    delta = [o - l for o, l in zip(reversed(off_base), reversed(local))]
+    roots = list(reversed(sqrt_cycles))
     wt_over_f = float(wt_over_f)
 
     def cost(mask: int) -> float:
-        total, s, j = base, 0.0, 0
+        total, s = base, 0.0
         while mask:
-            if mask & 1:
-                total += delta[j]
-                s += roots[j]
-            mask >>= 1
-            j += 1
+            low = mask & -mask
+            j = low.bit_length() - 1
+            total += delta[j]
+            s += roots[j]
+            mask ^= low
         return total + (s * s) * wt_over_f
 
     return cost

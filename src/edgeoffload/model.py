@@ -526,6 +526,8 @@ def instance_from_record(line: str) -> OffloadInstance:
     seed = payload["seed"]
     if type(seed) is not int:  # 1.5, "7" and true are not seeds
         raise FileFormatError(f"the seed must be a JSON integer, got {seed!r}")
+    if not 0 <= seed < 1 << 64:  # every written seed is a uint64 word
+        raise FileFormatError(f"the seed must be in [0, 2**64), got {seed!r}")
     try:
         inst = OffloadInstance(
             vehicles=tuple(VehicleParams(**v) for v in payload["vehicles"]),

@@ -38,7 +38,6 @@ from .model import (
     feature_count,
     local_cost,
     read_records,
-    total_cost,
     uplink_rate,
     write_records,
 )
@@ -101,22 +100,47 @@ def optimal_allocation(inst: OffloadInstance, decisions) -> np.ndarray:
     return alloc
 
 
-def _instance_arrays(inst: OffloadInstance):
-    """Per-vehicle terms feeding the mask-cost closed form."""
-    w = inst.weights
-    local = np.array([local_cost(v, w) for v in inst.vehicles])
-    tx_delay = np.array([v.data_size / uplink_rate(v, inst.edge) for v in inst.vehicles])
-    powers = np.array([v.tx_power for v in inst.vehicles])
-    off_base = w.w_time * tx_delay + w.w_energy * powers * tx_delay
-    sqrt_c = np.sqrt([v.cpu_cycles for v in inst.vehicles])
-    wt_over_f = w.w_time / inst.edge.edge_freq
-    return local, off_base, sqrt_c, wt_over_f
+def _instance_terms(inst: OffloadInstance):
+    """Per-vehicle terms of the mask-cost closed form, as Python floats:
+    ``(local, off_base, roots, wt_over_f, tx_delay)``.
+
+    ``local`` is ``local_cost``, ``tx_delay`` is the data size over
+    ``uplink_rate``, ``off_base = w_t*tx + w_e*p*tx`` and ``roots`` holds
+    sqrt(C_i); ``_batch_arrays`` computes the same values as columns.
+    """
+    w, e = inst.weights, inst.edge
+    w_time, w_energy = w.w_time, w.w_energy
+    local = [local_cost(v, w) for v in inst.vehicles]
+    tx_delay = [v.data_size / uplink_rate(v, e) for v in inst.vehicles]
+    off_base = [w_time * tx + w_energy * v.tx_power * tx
+                for v, tx in zip(inst.vehicles, tx_delay)]
+    roots = [math.sqrt(v.cpu_cycles) for v in inst.vehicles]
+    return local, off_base, roots, w_time / e.edge_freq, tx_delay
 
 
-def _report_for_mask(inst: OffloadInstance, mask: int, nodes: int, proven: bool) -> SolveReport:
+def _report_for_mask(inst: OffloadInstance, terms, mask: int, nodes: int,
+                     proven: bool) -> SolveReport:
+    """The solution of a mask, priced from ``_instance_terms`` bit for bit as
+    ``optimal_allocation`` and ``total_cost`` price it: the share denominator
+    is numpy's sum of the offloaders' roots, and the cost adds the vehicles
+    left to right, an offloader by ``offload_cost``'s operations."""
+    local, _, roots, _, tx_delay = terms
     decisions = mask_to_decisions(mask, inst.n_vehicles)
-    alloc = optimal_allocation(inst, decisions)
-    cost = total_cost(inst, decisions, alloc)
+    offloaders = [r for r, d in zip(roots, decisions) if d]
+    # numpy's reduction, pairwise from 8 terms on, as optimal_allocation's sum
+    denom = float(np.add.reduce(offloaders)) if offloaders else 1.0
+    w_time, w_energy = inst.weights.w_time, inst.weights.w_energy
+    edge_freq = inst.edge.edge_freq
+    alloc = []
+    cost = 0.0
+    for v, d, loc, r, tx in zip(inst.vehicles, decisions, local, roots, tx_delay):
+        if d:
+            a = r / denom
+            cost += w_time * (tx + v.cpu_cycles / (a * edge_freq)) + w_energy * (v.tx_power * tx)
+        else:
+            a = 0.0
+            cost += loc
+        alloc.append(a)
     sol = OffloadSolution(decisions=decisions, alloc=tuple(alloc), cost=cost)
     return SolveReport(solution=sol, nodes_explored=nodes, proven_optimal=proven)
 
@@ -133,11 +157,11 @@ def _feature_columns(features: np.ndarray):
 
 
 def _batch_arrays(instances: list[OffloadInstance], features: np.ndarray):
-    """``_instance_arrays`` of every instance as (n_inst, N) columns, plus the
-    uplink delay, from the instances' ``batch_features`` rows.
+    """``_instance_terms`` of every instance as (n_inst, N) columns, from the
+    instances' ``batch_features`` rows.
 
     Each value is computed with the same operations in the same order as the
-    scalar cost functions, so every row equals ``_instance_arrays`` exactly;
+    scalar cost functions, so every row equals ``_instance_terms`` exactly;
     ``**`` and ``math.log2`` run per element because numpy's vectorized
     power and log2 can differ from them in the last bit.
     """
@@ -219,21 +243,25 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
     """
     cfg = cfg or SbbConfig()
     n = inst.n_vehicles
-    local, off_base, sqrt_c, wt_over_f = _instance_arrays(inst)
-    cycles = sqrt_c**2
-    off_full = off_base + wt_over_f * cycles  # offload cost at alpha = 1
-    off_share = off_base + wt_over_f * cycles * n  # offload cost at alpha = 1/N
-    per_best = np.minimum(local, off_full)
-    root_lb = float(per_best.sum())  # numpy's sum: pairwise from 8 terms on
-    ambiguity = np.abs(local - off_full).tolist()
-    share_bits = decisions_to_mask((off_share < local).tolist())
+    terms = _instance_terms(inst)
+    local, off_base, roots, wt_over_f, _ = terms
+    off_full, per_best, ambiguity = [], [], []
+    share_bits = 0
+    for i, (loc, base, r) in enumerate(zip(local, off_base, roots)):
+        cycles = r * r  # the kernel's (s*s) for a lone offloader
+        full = base + wt_over_f * cycles  # offload cost at alpha = 1
+        if base + wt_over_f * cycles * n < loc:  # offload cost at alpha = 1/N
+            share_bits |= 1 << (n - 1 - i)
+        off_full.append(full)
+        per_best.append(min(loc, full))
+        ambiguity.append(abs(loc - full))
+    root_lb = float(np.add.reduce(per_best))  # numpy's sum: pairwise from 8 terms on
     order = sorted(range(n), key=lambda i: (ambiguity[i], i))  # branching order
     bits = [1 << (n - 1 - i) for i in order]
     fixed = [0]  # fixed[d]: the vehicles a node at depth d has fixed
     for bit in bits:
         fixed.append(fixed[-1] | bit)
-    mask_cost = kernels.mask_cost(local, off_base, sqrt_c, wt_over_f)
-    local, off_full, per_best = local.tolist(), off_full.tolist(), per_best.tolist()
+    mask_cost = kernels.mask_cost(local, off_base, roots, wt_over_f)
     inc_mask = share_bits
     inc_cost = mask_cost(inc_mask)
 
@@ -280,7 +308,7 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
         # ties go to the smallest mask
         for mask in (0, *(1 << i for i in range(n))):
             consider(mask)
-    return _report_for_mask(inst, inc_mask, nodes=nodes, proven=proven)
+    return _report_for_mask(inst, terms, inc_mask, nodes=nodes, proven=proven)
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,8 @@ def _set(key, value):
     pytest.param(_set("edge", []), EXIT_IO, id="edge-not-an-object"),
     pytest.param(_set("seed", 1.5), EXIT_IO, id="fractional-seed"),
     pytest.param(_set("seed", "7"), EXIT_IO, id="string-seed"),
+    pytest.param(_set("seed", -3), EXIT_IO, id="negative-seed"),
+    pytest.param(_set("seed", 2**64), EXIT_IO, id="seed-2**64"),
     pytest.param(lambda r: r.replace('"bandwidth":', '"band":', 1), EXIT_IO, id="unknown-key"),
     pytest.param(_set("data_size", -5.0), EXIT_VALIDATION, id="negative"),
     pytest.param(_set("data_size", float("nan")), EXIT_VALIDATION, id="nan"),

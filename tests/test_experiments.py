@@ -40,10 +40,12 @@ def test_fig5b_csv_shape(tmp_path):
         assert float(cols[4]) >= 0.0
         # wall-clock times live in the manifest, outside the digested CSV
         assert manifest.measurements[f"time_mtl@N={n}"] > 0.0
+        assert manifest.measurements[f"time_infer@N={n}"] > 0.0
         assert manifest.measurements[f"time_sbb@N={n}"] > 0.0
     assert "fig5b.gp" in manifest.digests
     on_disk = RunManifest.from_json((tmp_path / "manifest.json").read_text())
     assert on_disk.measurements == manifest.measurements
+    assert all(on_disk.measurements[f"time_infer@N={n}"] > 0.0 for n in (2, 6))
 
 
 def test_manifest_digests_match_files(tmp_path):

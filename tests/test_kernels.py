@@ -5,12 +5,12 @@ import pytest
 
 from edgeoffload import kernels
 from edgeoffload.model import generate_instances
-from edgeoffload.solvers import _instance_arrays, decisions_to_mask, solve_batch
+from edgeoffload.solvers import _instance_terms, decisions_to_mask, solve_batch
 
 
 def _arrays(n, count, seed):
     instances = generate_instances(n, count, seed=seed)
-    rows = [_instance_arrays(inst) for inst in instances]
+    rows = [_instance_terms(inst) for inst in instances]
     return instances, tuple(
         np.ascontiguousarray(np.stack([r[i] for r in rows])) for i in range(3)
     ) + (np.ascontiguousarray(np.array([r[3] for r in rows])),)

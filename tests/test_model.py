@@ -352,6 +352,8 @@ def _instance_file_with(tmp_path, key, value):
     ("seed", "1.5", FileFormatError),
     ("seed", "7.0", FileFormatError),
     ("seed", '"7"', FileFormatError),
+    pytest.param("seed", "-3", FileFormatError, id="negative-seed"),
+    pytest.param("seed", str(2**64), FileFormatError, id="seed-2**64"),
     ("data_size", "-5.0", InvalidParameterError),
 ])
 def test_instance_io_refuses_a_value_by_file_and_line(tmp_path, key, value, error):

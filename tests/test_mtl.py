@@ -38,6 +38,7 @@ from edgeoffload.solvers import (
     label_instances,
     mask_to_decisions,
     optimal_allocation,
+    solve_batch,
     solve_sbb,
 )
 
@@ -153,6 +154,18 @@ def test_infer_solution_feasible_and_consistent(trained):
         assert sol.cost == pytest.approx(
             total_cost(inst, sol.decisions, sol.alloc), rel=1e-12
         )
+
+
+def test_every_solver_returns_a_python_float_cost(trained):
+    model, _ = trained
+    instances = generate_instances(2, 20, seed=104)
+    solutions = [
+        *(solve_sbb(inst).solution for inst in instances),
+        *(rep.solution for rep in solve_batch(instances, "exhaustive")),
+        *(rep.solution for rep in solve_batch(instances, "sbb", max_nodes=1)),
+        *(infer_solution(model, inst) for inst in instances),
+    ]
+    assert all(type(sol.cost) is float for sol in solutions)
 
 
 def test_infer_solution_reg_source(trained):

@@ -19,17 +19,20 @@ from edgeoffload.model import (
     CostWeights,
     EdgeParams,
     OffloadInstance,
+    OffloadSolution,
     VehicleParams,
     generate_instances,
+    local_cost,
     raw_features,
     total_cost,
+    uplink_rate,
 )
 from edgeoffload.solvers import (
     _batch_arrays,
-    _instance_arrays,
-    _report_for_mask,
+    _instance_terms,
     LabeledDataset,
     SbbConfig,
+    SolveReport,
     decisions_to_mask,
     label_instances,
     mask_to_decisions,
@@ -194,8 +197,7 @@ def _reference_labels(instances):
     one row, ``optimal_allocation``, ``total_cost`` and ``raw_features``."""
     masks, allocs, costs = [], [], []
     for inst in instances:
-        local, off_base, sqrt_c, wt_over_f = _instance_arrays(inst)
-        mask, _ = kernels.exhaustive_argmin(local, off_base, sqrt_c, wt_over_f)
+        mask, _ = kernels.exhaustive_argmin(*_instance_terms(inst)[:4])
         decisions = mask_to_decisions(int(mask[0]), inst.n_vehicles)
         alloc = optimal_allocation(inst, decisions)
         masks.append(int(mask[0]))
@@ -220,11 +222,10 @@ def test_batched_labels_equal_per_instance_reference(n):
     assert 0 in offloaders
     if n >= 9:
         assert max(offloaders) >= 8  # where numpy's sum stops being sequential
-    local, off_base, sqrt_c, wt_over_f, _ = _batch_arrays(instances, ds.features)
+    columns = _batch_arrays(instances, ds.features)
     for k, inst in enumerate(instances):
-        row = _instance_arrays(inst)
-        for batched, scalar in zip((local[k], off_base[k], sqrt_c[k], wt_over_f[k]), row):
-            np.testing.assert_array_equal(batched, scalar)
+        for batched, scalar in zip(columns, _instance_terms(inst)):
+            np.testing.assert_array_equal(batched[k], scalar)
 
 
 def test_label_instances_rejects_empty_batch():
@@ -384,7 +385,7 @@ def test_sbb_tie_break_matches_exhaustive_lexicographic():
     # two at 3e9, so 4 and 6 masks tie
     for edge_freq, offloaders in ((1e9, 1), (3e9, 2)):
         inst = _identical_vehicles(4, edge_freq)
-        mask_cost = kernels.mask_cost(*_instance_arrays(inst))
+        mask_cost = kernels.mask_cost(*_instance_terms(inst)[:4])
         costs = [mask_cost(m) for m in range(16)]
         ties = [m for m, c in enumerate(costs) if c == min(costs)]
         assert len(ties) == math.comb(4, offloaders)
@@ -406,11 +407,43 @@ def test_exact_sbb_ties_match_exhaustive_for_identical_vehicles(cpu_cycles, edge
         assert bb.solution.decisions == ex.solution.decisions, n
 
 
+def _reference_arrays(inst):
+    """Per-vehicle terms as numpy arrays, from the scalar cost functions."""
+    w = inst.weights
+    local = np.array([local_cost(v, w) for v in inst.vehicles])
+    tx_delay = np.array([v.data_size / uplink_rate(v, inst.edge) for v in inst.vehicles])
+    powers = np.array([v.tx_power for v in inst.vehicles])
+    off_base = w.w_time * tx_delay + w.w_energy * powers * tx_delay
+    sqrt_c = np.sqrt([v.cpu_cycles for v in inst.vehicles])
+    return local, off_base, sqrt_c, w.w_time / inst.edge.edge_freq
+
+
+def _reference_mask_cost(local, off_base, sqrt_c, wt_over_f):
+    """The kernel's cost of a mask, one bit at a time from bit 0 upward."""
+    base = float(local.sum())
+    delta = (off_base - local)[::-1].tolist()
+    roots = sqrt_c[::-1].tolist()
+
+    def cost(mask):
+        total, s, j = base, 0.0, 0
+        while mask:
+            if mask & 1:
+                total += delta[j]
+                s += roots[j]
+            mask >>= 1
+            j += 1
+        return total + (s * s) * wt_over_f
+
+    return cost
+
+
 def _solve_sbb_reference(inst, cfg):
     """Reference: the node loop that ``solve_sbb`` used to run, on numpy
-    scalars, with an n-step greedy completion and both children priced."""
+    scalars, with an n-step greedy completion and both children priced; its
+    terms, mask pricing and report are this module's own, the report through
+    ``optimal_allocation`` and ``total_cost``."""
     n = inst.n_vehicles
-    local, off_base, sqrt_c, wt_over_f = _instance_arrays(inst)
+    local, off_base, sqrt_c, wt_over_f = _reference_arrays(inst)
     cycles = sqrt_c**2
     off_full = off_base + wt_over_f * cycles
     off_share = off_base + wt_over_f * cycles * n
@@ -425,7 +458,7 @@ def _solve_sbb_reference(inst, cfg):
                 mask |= bit
         return mask
 
-    mask_cost = kernels.mask_cost(local, off_base, sqrt_c, wt_over_f)
+    mask_cost = _reference_mask_cost(local, off_base, sqrt_c, wt_over_f)
     inc_mask = greedy_mask(0, 0)
     inc_cost = mask_cost(inc_mask)
 
@@ -468,7 +501,10 @@ def _solve_sbb_reference(inst, cfg):
     if proven:
         for mask in (0, *(1 << i for i in range(n))):
             consider(mask)
-    return _report_for_mask(inst, inc_mask, nodes=nodes, proven=proven)
+    decisions = mask_to_decisions(inc_mask, n)
+    alloc = optimal_allocation(inst, decisions)
+    sol = OffloadSolution(decisions, tuple(alloc), total_cost(inst, decisions, alloc))
+    return SolveReport(solution=sol, nodes_explored=nodes, proven_optimal=proven)
 
 
 def _sbb_outcome(rep):
@@ -496,3 +532,23 @@ def test_sbb_matches_reference_node_loop_on_ties():
                     cfg = SbbConfig(max_nodes=max_nodes)
                     assert _sbb_outcome(solve_sbb(inst, cfg)) == _sbb_outcome(
                         _solve_sbb_reference(inst, cfg)), (edge_freq, cpu_cycles, n)
+
+
+def _priced_by_the_scalar_functions(inst, sol):
+    alloc = optimal_allocation(inst, sol.decisions)
+    cost = total_cost(inst, sol.decisions, alloc)
+    assert sol.alloc == tuple(alloc)
+    assert sol.cost.hex() == cost.hex()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sbb_solution_is_priced_by_optimal_allocation_and_total_cost(n):
+    count = 12 if n > 12 else 30
+    for k, ranges in enumerate((DEFAULT_RANGES, DRAWN_GLOBALS, FEW_OFFLOADERS, MANY_OFFLOADERS)):
+        for inst in generate_instances(n, count, ranges, seed=300 * n + k):
+            for max_nodes in (1, 16):
+                _priced_by_the_scalar_functions(inst, solve_sbb(inst, SbbConfig(max_nodes)).solution)
+    for edge_freq in (1e9, 3e9, 3e10):
+        for cpu_cycles in (1e9, 2e9):
+            inst = _identical_vehicles(n, edge_freq, cpu_cycles)
+            _priced_by_the_scalar_functions(inst, solve_sbb(inst, SbbConfig(16)).solution)
