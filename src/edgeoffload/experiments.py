@@ -3,6 +3,7 @@ and the bad-data-ratio sweep, each emitting a CSV, a gnuplot script and a
 replayable run manifest."""
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -272,13 +273,35 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
 
 def _environment() -> dict[str, int | str]:
     """What a run's numbers depend on beyond its config: the interpreter, the
-    numpy release (its SeedSequence/PCG64 streams drive generation), the host."""
+    numpy release (its SeedSequence/PCG64 streams drive generation), the host,
+    and the BLAS that runs the matrix products (its kernel and thread count
+    set the timings)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    kernel = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 0,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "blas_kernel": kernel.decode() if isinstance(kernel, bytes) else kernel,
+        "blas_threads": _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int),
     }
+
+
+def _openblas_call(symbol: str, restype):
+    """``symbol()`` of the OpenBLAS bundled with numpy's wheel, or "unknown"
+    where there is no such library or it lacks the symbol."""
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            function = getattr(ctypes.CDLL(str(path)), symbol)
+        except (OSError, AttributeError):
+            continue
+        function.argtypes, function.restype = [], restype
+        return function()
+    return "unknown"
 
 
 def replay_manifest(manifest_path, out_dir) -> tuple[RunManifest, RunManifest, bool]:

@@ -8,12 +8,14 @@ result download are excluded; bandwidth is orthogonal per vehicle.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +33,8 @@ ALLOC_SUM_TOL = 1e-9
 INSTANCE_FILE_HEADER = "offload-instance v1"
 # json.dumps with options builds an encoder per call; instance records share this one
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the record writers format this many records or rows per chunk
+CHUNK_ROWS = 1024
 
 # feature layout: one block per vehicle (the VehicleParams fields, in order),
 # then edge_freq, noise_power, w_time and w_energy
@@ -40,6 +44,9 @@ N_GLOBAL_FEATURES = 4
 
 def feature_count(n_vehicles: int) -> int:
     return PER_VEHICLE_FEATURES * n_vehicles + N_GLOBAL_FEATURES
+
+
+_FLOAT_MAX = sys.float_info.max  # not math.inf: 10**400 < math.inf holds for an int
 
 
 def _check_positive(name: str, value: float, maximum: float | None = None) -> None:
@@ -61,6 +68,13 @@ class VehicleParams:
     bandwidth: float  # Hz
 
     def __post_init__(self) -> None:
+        try:  # every field in one chained test; the per-field checks name a refusal
+            if (0.0 < self.data_size <= _FLOAT_MAX and 0.0 < self.cpu_cycles <= _FLOAT_MAX
+                    and 0.0 < self.local_freq <= _FLOAT_MAX and 0.0 < self.tx_power <= _FLOAT_MAX
+                    and 0.0 < self.channel_gain <= 1.0 and 0.0 < self.bandwidth <= _FLOAT_MAX):
+                return
+        except (TypeError, ValueError):
+            pass
         _check_positive("data_size", self.data_size)
         _check_positive("cpu_cycles", self.cpu_cycles)
         _check_positive("local_freq", self.local_freq)
@@ -77,6 +91,11 @@ class EdgeParams:
     noise_power: float  # W
 
     def __post_init__(self) -> None:
+        try:  # as in VehicleParams
+            if 0.0 < self.edge_freq <= _FLOAT_MAX and 0.0 < self.noise_power <= _FLOAT_MAX:
+                return
+        except (TypeError, ValueError):
+            pass
         _check_positive("edge_freq", self.edge_freq)
         _check_positive("noise_power", self.noise_power)
 
@@ -90,6 +109,13 @@ class CostWeights:
     kappa: float  # J*s^2/cycle^3
 
     def __post_init__(self) -> None:
+        try:  # as in VehicleParams
+            if (0.0 <= self.w_time <= _FLOAT_MAX and 0.0 <= self.w_energy <= _FLOAT_MAX
+                    and (self.w_time != 0.0 or self.w_energy != 0.0)
+                    and 0.0 < self.kappa <= _FLOAT_MAX):
+                return
+        except (TypeError, ValueError):
+            pass
         for name in ("w_time", "w_energy"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
@@ -109,7 +135,8 @@ class OffloadInstance:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vehicles", tuple(self.vehicles))
+        if type(self.vehicles) is not tuple:
+            object.__setattr__(self, "vehicles", tuple(self.vehicles))
         n = len(self.vehicles)
         if not 1 <= n <= MAX_VEHICLES:
             raise InvalidParameterError(f"need 1..{MAX_VEHICLES} vehicles, got {n}")
@@ -436,15 +463,22 @@ def generate_instances(
     globals_ = {name: [ranges[name][0]] * n_instances for name in _GLOBAL_DRAW_ORDER}
     for j, name in enumerate(drawn):
         globals_[name] = scaled(name, u[:, n_vehicle_draws + j]).tolist()
+
+    def shared(cls, names):
+        """Each instance's ``cls`` of the globals ``names``, one frozen object per
+        distinct tuple; drawn values are > 0, so no key confuses 0.0 with -0.0."""
+        keys = list(zip(*(globals_[name] for name in names)))
+        made = {key: cls(*key) for key in dict.fromkeys(keys)}
+        return map(made.__getitem__, keys)
+
     return [
         OffloadInstance(
-            vehicles=tuple(itertools.islice(vehicles, n)),
-            edge=EdgeParams(edge_freq=edge_freq, noise_power=noise_power),
-            weights=CostWeights(w_time=w_time, w_energy=w_energy, kappa=kappa),
-            seed=inst_seed,
+            vehicles=tuple(itertools.islice(vehicles, n)), edge=edge, weights=weights, seed=inst_seed
         )
-        for edge_freq, noise_power, w_time, w_energy, kappa, inst_seed in zip(
-            *(globals_[name] for name in _GLOBAL_DRAW_ORDER), seeds.tolist()
+        for edge, weights, inst_seed in zip(
+            shared(EdgeParams, _GLOBAL_DRAW_ORDER[:2]),
+            shared(CostWeights, _GLOBAL_DRAW_ORDER[2:]),
+            seeds.tolist(),
         )
     ]
 
@@ -487,25 +521,86 @@ def read_records(path, header: str, parse: Callable[[str], object]) -> list:
     return records
 
 
-def instance_to_record(inst: OffloadInstance) -> str:
-    e, w = inst.edge, inst.weights
+def _float_strings(values: np.ndarray) -> str | list[str]:
+    """``float.__repr__`` of each value of a 1-D float64 column, or one string
+    for a column whose values share one bit pattern (0.0 and -0.0 do not)."""
+    bits = values.view(np.int64)
+    if (bits == bits[0]).all():
+        return float.__repr__(float(values[0]))
+    return list(map(float.__repr__, values.tolist()))
+
+
+def _fill_rows(template: str, fields: list[str | list[str]], n: int) -> Iterator[str]:
+    """``template % row`` for the ``n`` rows of ``fields``, one per ``%s`` of
+    ``template``: a string (a formatted number, so it holds no ``%``) is every
+    row's value, a list holds one per row."""
+    columns = [f for f in fields if not isinstance(f, str)]
+    template %= tuple(f if isinstance(f, str) else "%s" for f in fields)
+    if not columns:
+        return itertools.repeat(template, n)
+    return map(template.__mod__, zip(*columns))
+
+
+# the record's keys at each level, in the order the encoder sorts them
+_EDGE_KEYS, _VEHICLE_KEYS, _WEIGHT_KEYS = (
+    sorted(field.name for field in dataclasses.fields(cls))
+    for cls in (EdgeParams, VehicleParams, CostWeights)
+)
+# a record's values in that order: edge, seed, vehicles, weights
+_record_head = operator.attrgetter(*(f"edge.{key}" for key in _EDGE_KEYS), "seed")
+_record_vehicle = operator.attrgetter(*_VEHICLE_KEYS)
+_record_tail = operator.attrgetter(*(f"weights.{key}" for key in _WEIGHT_KEYS))
+_vehicles_of = operator.attrgetter("vehicles")
+
+
+def _record_template(n_vehicles: int) -> str:
+    """An N-vehicle instance record with ``%s`` in place of every value."""
     payload = {
-        "seed": inst.seed,
-        "vehicles": [
-            {
-                "data_size": v.data_size,
-                "cpu_cycles": v.cpu_cycles,
-                "local_freq": v.local_freq,
-                "tx_power": v.tx_power,
-                "channel_gain": v.channel_gain,
-                "bandwidth": v.bandwidth,
-            }
-            for v in inst.vehicles
-        ],
-        "edge": {"edge_freq": e.edge_freq, "noise_power": e.noise_power},
-        "weights": {"w_time": w.w_time, "w_energy": w.w_energy, "kappa": w.kappa},
+        "seed": "%s",
+        "vehicles": [dict.fromkeys(_VEHICLE_KEYS, "%s")] * n_vehicles,
+        "edge": dict.fromkeys(_EDGE_KEYS, "%s"),
+        "weights": dict.fromkeys(_WEIGHT_KEYS, "%s"),
     }
-    return _RECORD_ENCODER.encode(payload)
+    return _RECORD_ENCODER.encode(payload).replace('"%s"', "%s")
+
+
+def _encode_column(column: Sequence) -> str | list[str]:
+    """One record field's values as ``_RECORD_ENCODER`` writes them."""
+    kinds = {*map(type, column)}
+    if kinds == {float}:
+        values = np.fromiter(column, np.float64, len(column))
+        if np.isfinite(values).all():  # the encoder writes these with float.__repr__
+            return _float_strings(values)
+    elif kinds == {int}:
+        return list(map(int.__repr__, column))
+    return list(map(_RECORD_ENCODER.encode, column))
+
+
+def _chunk_records(chunk: list[OffloadInstance]) -> Iterator[str]:
+    """The records of instances with one N, formatted a field at a time."""
+    n = len(chunk[0].vehicles)
+    vehicle_values = list(itertools.chain.from_iterable(
+        map(_record_vehicle, itertools.chain.from_iterable(map(_vehicles_of, chunk)))
+    ))
+    width = len(_VEHICLE_KEYS) * n
+    columns = [
+        *zip(*map(_record_head, chunk)),
+        *(vehicle_values[j::width] for j in range(width)),
+        *zip(*map(_record_tail, chunk)),
+    ]
+    return _fill_rows(_record_template(n), list(map(_encode_column, columns)), len(chunk))
+
+
+def _records(instances: Iterable[OffloadInstance]) -> Iterator[str]:
+    """The record of each instance, over chunks of at most ``CHUNK_ROWS``
+    consecutive instances with one N."""
+    for _, run in itertools.groupby(instances, key=lambda inst: len(inst.vehicles)):
+        while chunk := list(itertools.islice(run, CHUNK_ROWS)):
+            yield from _chunk_records(chunk)
+
+
+def instance_to_record(inst: OffloadInstance) -> str:
+    return next(_records([inst]))
 
 
 def _refuse_bools(payload) -> None:
@@ -549,7 +644,7 @@ def instance_from_record(line: str) -> OffloadInstance:
 
 
 def write_instances(path, instances: Iterable[OffloadInstance]) -> None:
-    write_records(path, INSTANCE_FILE_HEADER, map(instance_to_record, instances))
+    write_records(path, INSTANCE_FILE_HEADER, _records(instances))
 
 
 def read_instances(path) -> list[OffloadInstance]:

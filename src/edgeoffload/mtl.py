@@ -199,7 +199,8 @@ def loss_and_grads(
     h = acts[-1]
     n_out = alloc.shape[1]
     diff = alloc - alloc_labels
-    mse = float((diff**2).mean())
+    # ndarray.mean's sum and division, without its Python wrapper
+    mse = float(np.add.reduce(diff**2, axis=None)) / diff.size
 
     # regression head, through the clamp/renormalize projection
     dalloc = diff * (2.0 * chi_r / (batch * n_out))
@@ -222,8 +223,8 @@ def loss_and_grads(
         esum = e.sum(axis=1, keepdims=True)
         rows = np.arange(batch)
         # the softmax probability of each row's label, without the full division
-        p_true = np.clip(e[rows, class_idx] / esum[:, 0], 1e-300, None)
-        ce = float(-np.log(p_true).mean())
+        p_true = np.maximum(e[rows, class_idx] / esum[:, 0], 1e-300)
+        ce = -float(np.add.reduce(np.log(p_true))) / batch
         loss = chi_c * ce + chi_r * mse
         dlogits = e / esum
         dlogits[rows, class_idx] -= 1.0
@@ -338,14 +339,14 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MtlModel, list[dict]]:
             value, ce, mse = loss_and_grads(
                 model, x[idx], cls[idx], alloc[idx], cfg.chi_c, cfg.chi_r, grad
             )
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValidationError(
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"step {n_batches} (ce={ce!r}, mse={mse!r})"
                 )
             t += 1
             lr_t = cfg.learning_rate * (
-                np.sqrt(1.0 - cfg.adam_beta2**t) / (1.0 - cfg.adam_beta1**t)
+                math.sqrt(1.0 - cfg.adam_beta2**t) / (1.0 - cfg.adam_beta1**t)
             )
             _adam_step(model.weights, grad.weights, m_state, v_state, work, lr_t, cfg)
             tot += value

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -29,11 +30,14 @@ from .errors import (
 )
 from .model import (
     ALLOC_SUM_TOL,
+    CHUNK_ROWS,
     MAX_VEHICLES,
     N_GLOBAL_FEATURES,
     PER_VEHICLE_FEATURES,
     OffloadInstance,
     OffloadSolution,
+    _fill_rows,
+    _float_strings,
     batch_features,
     feature_count,
     local_cost,
@@ -420,15 +424,23 @@ def label_instances(
 
 
 def write_labels(path, ds: LabeledDataset) -> None:
-    rows = zip(
-        ds.features.tolist(),
-        np.asarray(ds.decision, dtype=np.int64).tolist(),
-        ds.alloc.tolist(),
-        ds.cost.tolist(),
-    )
-    write_records(path, LABELS_FILE_HEADER, (
-        ",".join([*map(repr, features), str(decision), *map(repr, alloc), repr(cost)])
-        for features, decision, alloc, cost in rows
+    """One row per sample: the features, the decision, the alloc shares and the
+    cost, each float as ``repr`` writes it, formatted a column at a time over
+    chunks of ``CHUNK_ROWS`` rows."""
+    k = ds.features.shape[1]
+    template = ",".join(["%s"] * (k + ds.n_vehicles + 2))
+
+    def chunk_rows(start: int):
+        part = slice(start, start + CHUNK_ROWS)
+        floats = np.concatenate(
+            [ds.features[part], ds.alloc[part], ds.cost[part, None]], axis=1, dtype=np.float64
+        )
+        fields = [_float_strings(col) for col in floats.T]
+        fields.insert(k, list(map(str, np.asarray(ds.decision[part], dtype=np.int64).tolist())))
+        return _fill_rows(template, fields, floats.shape[0])
+
+    write_records(path, LABELS_FILE_HEADER, itertools.chain.from_iterable(
+        map(chunk_rows, range(0, ds.n_samples, CHUNK_ROWS))
     ))
 
 

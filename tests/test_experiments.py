@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import platform
@@ -108,3 +109,15 @@ def test_fig5a_scores_a_headless_model_by_its_regression_head(tmp_path):
         assert model.class_head is None
         masks, _ = mtl._decide(model, normalize(test_ds.features, model), "reg")
         assert float(row[1]) == float((masks == test_ds.decision).mean())
+
+
+def test_manifest_records_the_blas_outside_the_digests(tmp_path):
+    manifest = run_experiment(ExperimentSpec(kind="fig6-eta", out_dir=tmp_path, seed=0))
+    m = manifest.measurements
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert m["blas"] == f"{blas['name']} {blas['version']}"
+    assert isinstance(m["blas_kernel"], str) and m["blas_kernel"]
+    assert m["blas_threads"] == "unknown" or m["blas_threads"] >= 1
+    assert set(manifest.digests) == {"fig6.csv", "fig6.gp"}
+    # a library without the symbol, or no bundled library, records unknown
+    assert experiments._openblas_call("scipy_openblas_no_such_symbol", ctypes.c_int) == "unknown"

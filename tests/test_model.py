@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import asdict
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from edgeoffload import model
 from edgeoffload.errors import (
     FileFormatError,
     InvalidAllocationError,
@@ -382,3 +384,153 @@ def test_instance_io_skips_blank_lines_and_counts_them(tmp_path):
         read_instances(path)
     path.write_text(header + "\n\n")
     assert read_instances(path) == []
+
+
+_REFERENCE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _reference_record(inst):
+    """The record of one instance, encoded whole from its fields."""
+    return _REFERENCE_ENCODER.encode({
+        "seed": inst.seed,
+        "vehicles": [asdict(v) for v in inst.vehicles],
+        "edge": asdict(inst.edge),
+        "weights": asdict(inst.weights),
+    })
+
+
+def _assert_written_as_reference(tmp_path, instances):
+    path = tmp_path / "inst.txt"
+    write_instances(path, instances)
+    expected = "".join(f"{line}\n" for line in ["offload-instance v1",
+                                                *map(_reference_record, instances)])
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("ranges", [DEFAULT_RANGES, ALL_DRAWN_RANGES], ids=["default", "all-drawn"])
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_written_records_match_the_whole_record_encoder(tmp_path, ranges, n):
+    instances = generate_instances(n, 30, ranges, seed=20 + n)
+    _assert_written_as_reference(tmp_path, instances)
+    assert [instance_to_record(i) for i in instances] == list(map(_reference_record, instances))
+
+
+def test_written_records_of_mixed_sizes_and_many_chunks(tmp_path):
+    chunk = model.CHUNK_ROWS
+    # runs of one N that end inside, at and past a chunk's end
+    instances = [*generate_instances(2, chunk + 3, seed=30), *generate_instances(3, 1, seed=31),
+                 *generate_instances(2, 5, ALL_DRAWN_RANGES, seed=32),
+                 *generate_instances(1, chunk, ALL_DRAWN_RANGES, seed=33)]
+    _assert_written_as_reference(tmp_path, instances)
+    _assert_written_as_reference(tmp_path, [])
+
+
+def test_hand_written_values_are_rewritten_byte_identically(tmp_path):
+    path = tmp_path / "inst.txt"
+    write_instances(path, generate_instances(2, 6, seed=34))
+    header, *records = path.read_text().splitlines()
+    payloads = [json.loads(r) for r in records]
+    payloads[1]["vehicles"][0]["tx_power"] = 10  # an int field
+    payloads[2]["vehicles"][1]["data_size"] = 2000000
+    for p in payloads:  # a column of 0.0 weights that holds one -0.0
+        p["weights"]["w_energy"] = 0.0
+    payloads[4]["weights"]["w_energy"] = -0.0
+    payloads[5]["weights"]["w_time"] = 2
+    written = [_REFERENCE_ENCODER.encode(p) for p in payloads]
+    assert '"tx_power":10}' in written[1] and '"w_energy":-0.0,' in written[4]
+    path.write_text("\n".join([header, *written]) + "\n")
+    back = read_instances(path)
+    assert type(back[1].vehicles[0].tx_power) is int
+    rewritten = tmp_path / "again.txt"
+    write_instances(rewritten, back)
+    assert rewritten.read_bytes() == path.read_bytes()
+    assert [instance_to_record(i) for i in back] == written
+
+
+# Reference: the per-field checks the parameter classes ran on every field
+# before the one chained test was put in front of them.
+def _check_positive_reference(name, value, maximum=None):
+    if not math.isfinite(value) or value <= 0.0:
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise InvalidParameterError(f"{name} must be <= {maximum}, got {value!r}")
+
+
+def _vehicle_checks_reference(v):
+    for name in ("data_size", "cpu_cycles", "local_freq", "tx_power"):
+        _check_positive_reference(name, v[name])
+    _check_positive_reference("channel_gain", v["channel_gain"], maximum=1.0)
+    _check_positive_reference("bandwidth", v["bandwidth"])
+
+
+def _edge_checks_reference(e):
+    _check_positive_reference("edge_freq", e["edge_freq"])
+    _check_positive_reference("noise_power", e["noise_power"])
+
+
+def _weights_checks_reference(w):
+    for name in ("w_time", "w_energy"):
+        v = w[name]
+        if not math.isfinite(v) or v < 0.0:
+            raise InvalidParameterError(f"{name} must be >= 0 and finite, got {v!r}")
+    if w["w_time"] == 0.0 and w["w_energy"] == 0.0:
+        raise InvalidParameterError("w_time and w_energy cannot both be zero")
+    _check_positive_reference("kappa", w["kappa"])
+
+
+def _outcome(check, fields):
+    """None if ``check(**fields)`` accepts, else the class and message it raises."""
+    try:
+        check(**fields)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_CHECKED_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -3.5, 10**400,
+                   int(sys.float_info.max) + 1, sys.float_info.max, 5e-324, 1.0,
+                   math.nextafter(1.0, 2.0), True, False, 7, "5", None]
+
+
+@pytest.mark.parametrize("cls, valid, reference", [
+    (VehicleParams, asdict(GOLDEN_RATE_VEHICLE), _vehicle_checks_reference),
+    (EdgeParams, asdict(GOLDEN_EDGE), _edge_checks_reference),
+    (CostWeights, asdict(GOLDEN_WEIGHTS), _weights_checks_reference),
+], ids=["vehicle", "edge", "weights"])
+def test_chained_checks_refuse_as_the_per_field_checks(cls, valid, reference):
+    cases = [{**valid, name: value} for name in valid for value in _CHECKED_VALUES]
+    if cls is CostWeights:  # both weights zero, in every sign
+        cases += [{**valid, "w_time": a, "w_energy": b} for a in (0, 0.0, -0.0, False)
+                  for b in (0, 0.0, -0.0, False)]
+    outcomes = []
+    for fields in cases:
+        expected = _outcome(lambda **f: reference(f), fields)
+        assert _outcome(cls, fields) == expected, fields
+        outcomes.append(expected)
+    assert None in outcomes and any(o and o[0] is InvalidParameterError for o in outcomes)
+    assert any(o and o[0] is OverflowError for o in outcomes)  # 10**400 is refused
+
+
+def test_chained_checks_keep_the_per_field_bounds():
+    gain = {**asdict(GOLDEN_RATE_VEHICLE), "channel_gain": 1.0}
+    VehicleParams(**gain)
+    with pytest.raises(InvalidParameterError, match="channel_gain must be <= 1.0"):
+        VehicleParams(**{**gain, "channel_gain": math.nextafter(1.0, 2.0)})
+    huge = int(sys.float_info.max) + 1  # rounds to the largest float, so it is finite
+    assert VehicleParams(**{**gain, "data_size": huge}).data_size == huge
+    with pytest.raises(OverflowError):
+        VehicleParams(**{**gain, "data_size": 10**400})
+    assert CostWeights(w_time=True, w_energy=0.0, kappa=1e-27).w_time is True
+
+
+def test_generation_shares_one_object_per_distinct_globals():
+    def distinct(instances, field):
+        return len({id(getattr(i, field)) for i in instances})
+
+    pinned = generate_instances(2, 50, seed=1)
+    assert (distinct(pinned, "edge"), distinct(pinned, "weights")) == (1, 1)
+    drawn_weights = generate_instances(2, 50, {**DEFAULT_RANGES, "w_time": (0.5, 2.0)}, seed=1)
+    assert (distinct(drawn_weights, "edge"), distinct(drawn_weights, "weights")) == (1, 50)
+    drawn = generate_instances(2, 50, ALL_DRAWN_RANGES, seed=1)
+    assert (distinct(drawn, "edge"), distinct(drawn, "weights")) == (50, 50)
+    assert generate_instances(2, 50, ALL_DRAWN_RANGES, seed=1) == drawn

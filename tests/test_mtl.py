@@ -791,3 +791,77 @@ def test_class_decisions_memory_bounded_by_chunk_budget():
     np.testing.assert_array_equal(masks, expected)
     assert alloc.shape == (600, n)
     assert peak < 3 * mtl.CHUNK_BYTES
+
+
+def _loss_and_grads_before_trims(model, x, class_idx, alloc_labels, chi_c, chi_r, grad):
+    """Reference: the step with ``ndarray.mean`` for both loss terms and
+    ``np.clip`` for the probability floor, as it ran before those calls were
+    trimmed to ``np.add.reduce`` and ``np.maximum``."""
+    batch = x.shape[0]
+    acts: list[np.ndarray] = []
+    logits, y, alloc = forward(model, x, with_class=chi_c != 0.0, acts=acts)
+    h = acts[-1]
+    n_out = alloc.shape[1]
+    diff = alloc - alloc_labels
+    mse = float((diff**2).mean())
+
+    dalloc = diff * (2.0 * chi_r / (batch * n_out))
+    r = np.maximum(y, 0.0)
+    s = r.sum(axis=1, keepdims=True)
+    safe_s = np.where(s > 0.0, s, 1.0)
+    dr_renorm = dalloc / safe_s - (dalloc * r).sum(axis=1, keepdims=True) / safe_s**2
+    dy = np.where(s > 1.0, dr_renorm, dalloc) * (y > 0.0)
+
+    (wr, _), (g_wr, g_br) = model.reg_head, grad.reg_head
+    np.matmul(h.T, dy, out=g_wr)
+    dy.sum(axis=0, out=g_br)
+    dh = dy @ wr.T
+
+    if logits is None:
+        ce, loss = math.nan, chi_r * mse
+    else:
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        esum = e.sum(axis=1, keepdims=True)
+        rows = np.arange(batch)
+        p_true = np.clip(e[rows, class_idx] / esum[:, 0], 1e-300, None)
+        ce = float(-np.log(p_true).mean())
+        loss = chi_c * ce + chi_r * mse
+        dlogits = e / esum
+        dlogits[rows, class_idx] -= 1.0
+        dlogits *= chi_c / batch
+        (wc, _), (g_wc, g_bc) = model.class_head, grad.class_head
+        np.matmul(h.T, dlogits, out=g_wc)
+        dlogits.sum(axis=0, out=g_bc)
+        dh = dlogits @ wc.T + dh
+
+    for li in range(len(model.trunk) - 1, -1, -1):
+        dz = dh * (acts[li + 1] > 0.0)
+        g_w, g_b = grad.trunk[li]
+        np.matmul(acts[li].T, dz, out=g_w)
+        dz.sum(axis=0, out=g_b)
+        if li:
+            dh = dz @ model.trunk[li][0].T
+    return loss, ce, mse
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("chi_c", [0.0, 1.0])
+@pytest.mark.parametrize("n, hidden", [(1, (12, 12)), (2, (12, 12)), (8, (64, 64))])
+def test_training_matches_the_untrimmed_step_bit_for_bit(monkeypatch, n, hidden, chi_c):
+    # 0.7 of 430 rows is 301 training rows, which 64-row batches do not divide
+    ds = label_instances(generate_instances(n, 430, seed=180 + n))
+    cfg = TrainConfig(chi_c=chi_c, epochs=5, batch_size=64, hidden_sizes=hidden, seed=2,
+                      train_fraction=0.7)
+    model, log = train(ds, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(mtl, "loss_and_grads", _loss_and_grads_before_trims)
+        ref_model, ref_log = _train_per_tensor(ds, cfg)
+    keys = ["loss", "ce_term", "mse_term"]
+    np.testing.assert_array_equal(_float_bits([[row[k] for k in keys] for row in log]),
+                                  _float_bits([[row[k] for k in keys] for row in ref_log]))
+    assert [row["epoch"] for row in log] == list(range(cfg.epochs))
+    np.testing.assert_array_equal(_float_bits(model.weights), _float_bits(ref_model.weights))
+    assert save_model_bytes(model) == save_model_bytes(ref_model)

@@ -3,6 +3,7 @@ import concurrent.futures
 import heapq
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import edgeoffload
 from edgeoffload import kernels
 from edgeoffload.errors import ConfigError, FileFormatError, ValidationError
 from edgeoffload.model import (
+    CHUNK_ROWS,
     DEFAULT_RANGES,
     MAX_VEHICLES,
     CostWeights,
@@ -26,6 +28,7 @@ from edgeoffload.model import (
     raw_features,
     total_cost,
     uplink_rate,
+    write_instances,
 )
 from edgeoffload.solvers import (
     _batch_arrays,
@@ -299,6 +302,45 @@ def test_labels_io_roundtrip(tmp_path):
     np.testing.assert_allclose(back.features, ds.features, rtol=0)
     np.testing.assert_allclose(back.alloc, ds.alloc, rtol=0)
     np.testing.assert_allclose(back.cost, ds.cost, rtol=0)
+
+
+def _reference_label_rows(ds):
+    """The rows of a label file, one row formatted at a time."""
+    return [
+        ",".join([*map(repr, f), str(d), *map(repr, a), repr(c)])
+        for f, d, a, c in zip(ds.features.tolist(), ds.decision.tolist(), ds.alloc.tolist(),
+                              ds.cost.tolist())
+    ]
+
+
+@pytest.mark.parametrize("n, count", [(1, 7), (2, CHUNK_ROWS + 5), (5, 40)])
+def test_written_label_rows_match_the_per_row_reference(tmp_path, n, count):
+    ds = label_instances(generate_instances(n, count, seed=56 + n))
+    # a pinned feature column that holds one -0.0 among its 0.0s (no solver
+    # writes that), and an alloc column of one value in every row
+    ds.features[:, 2] = 0.0
+    ds.features[count // 2, 2] = -0.0
+    ds.alloc[:, 0] = 0.25
+    path = tmp_path / "labels.csv"
+    write_labels(path, ds)
+    assert path.read_text().splitlines() == ["offload-labels v1", *_reference_label_rows(ds)]
+
+
+def test_file_writers_hold_one_chunk_at_a_time(tmp_path):
+    """The writers' peaks at 40 000 N=2 records stay within twice their peaks at 1 000."""
+    peaks = {}
+    for count in (1000, 40_000):
+        instances = generate_instances(2, count, seed=60)
+        ds = label_instances(instances)
+        for write, data in ((write_instances, instances), (write_labels, ds)):
+            tracemalloc.start()
+            try:
+                write(tmp_path / "out", data)
+                peaks[write, count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for write in (write_instances, write_labels):
+        assert peaks[write, 40_000] <= 2 * peaks[write, 1000], write.__name__
 
 
 def test_labels_io_rejects_truncated_row(tmp_path):
