@@ -61,8 +61,7 @@ def cmd_train(args) -> int:
     save_model(args.out, model)
     if args.log is not None:
         write_training_log(args.log, log)
-    final = log[-1]["loss"] if log else float("nan")
-    print(f"trained {cfg.epochs} epochs, final loss {final:.6g} -> {args.out}")
+    print(f"trained {cfg.epochs} epochs, final loss {log[-1]['loss']:.6g} -> {args.out}")
     return EXIT_OK
 
 

@@ -9,11 +9,14 @@ so enumerating all 2^N masks only needs per-vehicle precomputed terms.
 Masks are ordered so that the integer value equals the lexicographic order
 of the decision bit-vector (vehicle 0 is the most significant bit);
 argmin with first-hit tie-breaking then matches the contract's
-"lexicographically smallest decision" rule.  ``mask_cost`` prices single
-masks with the kernel's own operations in the kernel's order, so a scalar
-search breaks exact ties the way the kernel does.
+"lexicographically smallest decision" rule.  The all-local base adds the
+vehicles left to right.  ``mask_cost`` prices single masks with the
+kernel's own operations in the kernel's order, so a scalar search breaks
+exact ties the way the kernel does.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -44,6 +47,7 @@ def exhaustive_argmin(
     delta = np.atleast_2d(np.asarray(off_base, dtype=np.float64)) - local
     wt_over_f = np.asarray(wt_over_f, dtype=np.float64).reshape(-1, 1)
     n_inst, n = local.shape
+    base = functools.reduce(np.add, local.T)  # left to right over the vehicles
     n_masks = 1 << n
     rows = max(1, CHUNK_BYTES // (8 * n_masks))
     cost_buf = np.empty((min(rows, n_inst), n_masks))
@@ -54,7 +58,7 @@ def exhaustive_argmin(
         stop = min(start + rows, n_inst)
         cost = cost_buf[: stop - start]
         sums = sums_buf[: stop - start]
-        cost[:, 0] = local[start:stop].sum(axis=1)
+        cost[:, 0] = base[start:stop]
         sums[:, 0] = 0.0
         for j in range(n):
             w = 1 << j
@@ -74,13 +78,13 @@ def mask_cost(local, off_base, sqrt_cycles, wt_over_f: float):
     """Scalar cost of a mask of one instance, bit for bit as
     ``exhaustive_argmin`` computes it: ``mask_cost(...)(mask)``.
 
-    The kernel starts from the all-local sum ``local.sum()`` and adds each
+    The kernel starts from the all-local sum ``sum(local)`` and adds each
     offloader's ``off_base - local`` and root, from vehicle N-1 (the lowest
     bit) down to vehicle 0, then adds ``(s*s) * wt_over_f``; the walk visits
     only the set bits, in that order.  The arguments are one instance's rows
     as sequences of floats; the sum and the deltas are taken once here.
     """
-    base = float(np.add.reduce(local))  # numpy's sum, pairwise from 8 terms on
+    base = sum(local)
     # index j holds vehicle N-1-j, the vehicle of bit j
     delta = [o - l for o, l in zip(reversed(off_base), reversed(local))]
     roots = list(reversed(sqrt_cycles))

@@ -140,6 +140,8 @@ class OffloadInstance:
         n = len(self.vehicles)
         if not 1 <= n <= MAX_VEHICLES:
             raise InvalidParameterError(f"need 1..{MAX_VEHICLES} vehicles, got {n}")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:  # as a file holds it
+            raise InvalidParameterError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
     @property
     def n_vehicles(self) -> int:
@@ -437,7 +439,7 @@ def generate_instances(
         raise InvalidParameterError(f"n_vehicles must be 1..{MAX_VEHICLES}")
     if not 0 <= n_instances < 2**32:
         raise InvalidParameterError(f"n_instances must be in [0, 2**32), got {n_instances!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
     # A child stream holds one uniform per vehicle and vehicle field, in

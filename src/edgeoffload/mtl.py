@@ -404,8 +404,8 @@ def infer_solution(
     The offload set comes from the model's own head unless
     ``decision_source`` names one (see ``_decide``), of which this is the
     one-row case.  The offloaders get their projected shares over the
-    shares' sum, or the closed-form ``optimal_allocation`` when one of those
-    shares is not > 0; the mapping runs on Python floats.
+    shares' sum (added left to right), or the closed-form ``optimal_allocation``
+    when one of those shares is not > 0; the mapping runs on Python floats.
     """
     if inst.n_vehicles != model.n_vehicles:
         raise ShapeError(
@@ -414,10 +414,8 @@ def infer_solution(
     masks, alloc_pred = _decide(model, normalize(raw_features(inst)[None], model),
                                 decision_source)
     decisions = mask_to_decisions(int(masks[0]), model.n_vehicles)
-    masked = np.where(decisions, alloc_pred[0], 0.0)
-    # numpy's reduction, pairwise from 8 terms on, as a batched row sum adds
-    total = float(masked.sum())
-    shares = masked.tolist()
+    shares = np.where(decisions, alloc_pred[0], 0.0).tolist()
+    total = sum(shares)  # left to right; a local vehicle's 0.0 changes no sum
     if not any(decisions):
         alloc = shares  # every share is 0.0
     elif total <= 0.0 or any(a <= 0.0 for a, d in zip(shares, decisions) if d):

@@ -89,8 +89,9 @@ def decisions_to_mask(decisions) -> int:
 def optimal_allocation(inst: OffloadInstance, decisions) -> np.ndarray:
     """Minimizing edge-CPU split for a fixed decision vector.
 
-    Proportional to sqrt(C_i) over the offloading set; the full budget is
-    always spent because each offloader's cost is decreasing in its share.
+    Proportional to sqrt(C_i) over the offloading set, the roots added left
+    to right; the full budget is always spent because each offloader's cost
+    is decreasing in its share.
     """
     decisions = [1 if d else 0 for d in decisions]
     if len(decisions) != inst.n_vehicles:
@@ -100,7 +101,7 @@ def optimal_allocation(inst: OffloadInstance, decisions) -> np.ndarray:
     if not offs:
         return alloc
     roots = np.sqrt([inst.vehicles[i].cpu_cycles for i in offs])
-    alloc[offs] = roots / roots.sum()
+    alloc[offs] = roots / sum(roots)
     return alloc
 
 
@@ -126,13 +127,12 @@ def _report_for_mask(inst: OffloadInstance, terms, mask: int, nodes: int,
                      proven: bool) -> SolveReport:
     """The solution of a mask, priced from ``_instance_terms`` bit for bit as
     ``optimal_allocation`` and ``total_cost`` price it: the share denominator
-    is numpy's sum of the offloaders' roots, and the cost adds the vehicles
-    left to right, an offloader by ``offload_cost``'s operations."""
+    adds the offloaders' roots and the cost adds the vehicles, both left to
+    right in vehicle order, an offloader by ``offload_cost``'s operations."""
     local, _, roots, _, tx_delay = terms
     decisions = mask_to_decisions(mask, inst.n_vehicles)
     offloaders = [r for r, d in zip(roots, decisions) if d]
-    # numpy's reduction, pairwise from 8 terms on, as optimal_allocation's sum
-    denom = float(np.add.reduce(offloaders)) if offloaders else 1.0
+    denom = sum(offloaders) if offloaders else 1.0
     w_time, w_energy = inst.weights.w_time, inst.weights.w_energy
     edge_freq = inst.edge.edge_freq
     alloc = []
@@ -186,23 +186,17 @@ def _exhaustive_columns(instances: list[OffloadInstance], features: np.ndarray):
     """Exhaustive optimum of every instance: (mask, alloc, cost) columns.
 
     Allocation and cost repeat ``optimal_allocation`` and ``total_cost``
-    operation for operation: the allocation denominator is numpy's 1-D sum of
-    the offloaders' roots in vehicle order (pairwise from 8 terms on, so it is
-    taken as a row sum over rows with the same offloader count), and the cost
-    adds the vehicles left to right.
+    operation for operation: the allocation denominator adds the offloaders'
+    roots and the cost adds the vehicles, both left to right in vehicle order.
     """
     local, off_base, sqrt_c, wt_over_f, tx_delay = _batch_arrays(instances, features)
-    n_inst, n = local.shape
+    n = local.shape[1]
     mask, _ = kernels.exhaustive_argmin(local, off_base, sqrt_c, wt_over_f)
     offload = ((mask[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-    counts = offload.sum(axis=1)
-    roots = sqrt_c[offload]  # the offloaders' roots, row by row, in vehicle order
-    starts = np.cumsum(counts) - counts
-    denom = np.ones(n_inst)
-    for k in range(1, n + 1):
-        rows = np.flatnonzero(counts == k)
-        if rows.size:
-            denom[rows] = roots[starts[rows, None] + np.arange(k)].sum(axis=1)
+    # a local vehicle adds 0.0, which changes no sum; a row with no offloader
+    # divides by 1
+    denom = functools.reduce(np.add, np.where(offload, sqrt_c, 0.0).T)
+    denom[~offload.any(axis=1)] = 1.0
     alloc = np.where(offload, sqrt_c / denom[:, None], 0.0)
 
     _, cycles, _, power, _, _, edge_freq, _, w_time, w_energy = _feature_columns(features)
@@ -210,9 +204,7 @@ def _exhaustive_columns(instances: list[OffloadInstance], features: np.ndarray):
     per_vehicle = np.where(
         offload, w_time * (tx_delay + edge_delay) + w_energy * (power * tx_delay), local
     )
-    cost = per_vehicle[:, 0].copy()
-    for i in range(1, n):
-        cost += per_vehicle[:, i]
+    cost = functools.reduce(np.add, per_vehicle.T)
     if not np.all(np.isfinite(cost)):
         raise InvalidAllocationError("non-finite optimal cost")
     return mask, alloc, cost
@@ -259,7 +251,7 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
         off_full.append(full)
         per_best.append(min(loc, full))
         ambiguity.append(abs(loc - full))
-    root_lb = float(np.add.reduce(per_best))  # numpy's sum: pairwise from 8 terms on
+    root_lb = sum(per_best)
     order = sorted(range(n), key=lambda i: (ambiguity[i], i))  # branching order
     bits = [1 << (n - 1 - i) for i in order]
     fixed = [0]  # fixed[d]: the vehicles a node at depth d has fixed

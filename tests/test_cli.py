@@ -206,6 +206,18 @@ def test_label_rows_no_model_can_use_are_io_errors(tmp_path, capsys, bad_line):
     assert capsys.readouterr().err.count(f"{labels}:{bad_line}: ") == 2
 
 
+def test_label_file_with_no_rows_is_an_io_error(tmp_path, capsys):
+    model, labels = _trained_model(tmp_path)
+    labels.write_text(labels.read_text().splitlines()[0] + "\n")  # the header alone
+    capsys.readouterr()
+    assert _run("eval", str(model), str(labels)) == EXIT_IO
+    model.unlink()
+    assert _run("train", str(labels), "--out", str(model)) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert not out and err.count(f"{labels}: no label records") == 2
+    assert not model.exists()
+
+
 def test_eval_of_a_truncated_model_is_an_io_error(tmp_path):
     model, labels = _trained_model(tmp_path)
     model.write_bytes(model.read_bytes()[:-1])

@@ -270,6 +270,29 @@ def test_generation_rejects_bad_seed_and_count():
             generate_instances(2, count)
 
 
+def test_generation_refuses_a_bool_seed():
+    for seed in (True, False):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            generate_instances(2, 3, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [math.nan, 1.5, True, False, -4, 2**64, np.int64(3), np.uint64(3)],
+                         ids=["nan", "fraction", "true", "false", "negative", "2**64", "int64",
+                              "uint64"])
+def test_instance_refuses_a_seed_no_instance_file_holds(seed):
+    inst = generate_instances(2, 1)[0]
+    with pytest.raises(InvalidParameterError, match="seed"):
+        OffloadInstance(inst.vehicles, inst.edge, inst.weights, seed=seed)
+
+
+def test_instance_file_round_trips_the_extreme_seeds(tmp_path):
+    inst = generate_instances(2, 1)[0]
+    instances = [OffloadInstance(inst.vehicles, inst.edge, inst.weights, seed=seed)
+                 for seed in (0, 2**64 - 1)]
+    write_instances(tmp_path / "inst.txt", instances)
+    assert read_instances(tmp_path / "inst.txt") == instances
+
+
 def test_generation_of_zero_instances():
     assert generate_instances(3, 0) == []
 

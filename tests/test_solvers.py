@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgeoffload
-from edgeoffload import kernels
+from edgeoffload import kernels, mtl
 from edgeoffload.errors import ConfigError, FileFormatError, ValidationError
 from edgeoffload.model import (
     CHUNK_ROWS,
@@ -23,6 +23,7 @@ from edgeoffload.model import (
     OffloadInstance,
     OffloadSolution,
     VehicleParams,
+    batch_features,
     generate_instances,
     local_cost,
     raw_features,
@@ -30,6 +31,7 @@ from edgeoffload.model import (
     uplink_rate,
     write_instances,
 )
+from edgeoffload.mtl import MtlModel, infer_solution, normalize
 from edgeoffload.solvers import (
     _batch_arrays,
     _instance_terms,
@@ -223,12 +225,62 @@ def test_batched_labels_equal_per_instance_reference(n):
     np.testing.assert_array_equal(ds.cost, costs)
     offloaders = [bin(m).count("1") for m in masks.tolist()]
     assert 0 in offloaders
-    if n >= 9:
-        assert max(offloaders) >= 8  # where numpy's sum stops being sequential
+    if n >= 8:
+        # sums of 8 or more terms are where left to right and numpy's
+        # pairwise reduction part ways
+        assert max(offloaders) >= 8
     columns = _batch_arrays(instances, ds.features)
     for k, inst in enumerate(instances):
         for batched, scalar in zip(columns, _instance_terms(inst)):
             np.testing.assert_array_equal(batched[k], scalar)
+
+
+def _offload_all_model(instances):
+    """A model with no class head whose "reg" rule offloads every vehicle: each
+    regression output is a bias in [1.2, 2] plus a term of the input below
+    0.05, so every projected share is above 0.5/N."""
+    n = instances[0].n_vehicles
+    features = batch_features(instances)
+    std = features.std(axis=0)
+    rng = np.random.default_rng(n)
+    size = sum(math.prod(s) for s in mtl._param_shapes(n, (8,), False))
+    model = MtlModel(n, (8,), features.mean(axis=0), np.where(std > 0.0, std, 1.0),
+                     0.1 * rng.standard_normal(size), has_class_head=False)
+    model.reg_head[0][:] *= 0.01
+    model.reg_head[1][:] = rng.uniform(1.2, 2.0, n)
+    return model
+
+
+def _shares(values, decisions):
+    """Each offloader's value over the offloaders' sum, added left to right."""
+    chosen = [v for v, d in zip(values, decisions) if d]
+    return [v / sum(chosen) if d else 0.0 for v, d in zip(values, decisions)]
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 16])
+def test_vehicle_sums_add_left_to_right(n):
+    """Every sum over an instance's vehicles adds them left to right in
+    vehicle order, also from 8 terms on, where numpy's pairwise reduction
+    adds in another order."""
+    instances = [*generate_instances(n, 40, MANY_OFFLOADERS, seed=400 + n),
+                 *(_identical_vehicles(n, 1e12, cpu_cycles) for cpu_cycles in (1e9, 2e9))]
+    ds = label_instances(instances)
+    model = _offload_all_model(instances)
+    label_offloaders = []
+    for k, inst in enumerate(instances):
+        terms = _instance_terms(inst)
+        assert kernels.mask_cost(*terms[:4])(0) == sum(terms[0])
+        roots = [math.sqrt(v.cpu_cycles) for v in inst.vehicles]
+        label = mask_to_decisions(int(ds.decision[k]), n)
+        for decisions in ((1,) * n, label):
+            assert optimal_allocation(inst, decisions).tolist() == _shares(roots, decisions)
+        assert ds.alloc[k].tolist() == _shares(roots, label)
+        sol = infer_solution(model, inst, decision_source="reg")
+        assert sum(sol.decisions) == n
+        _, alloc_pred = mtl._decide(model, normalize(raw_features(inst)[None], model), "reg")
+        assert list(sol.alloc) == _shares(alloc_pred[0].tolist(), sol.decisions)
+        label_offloaders.append(int(ds.decision[k]).bit_count())
+    assert max(label_offloaders) >= 8
 
 
 def test_label_instances_rejects_empty_batch():
@@ -355,6 +407,13 @@ def test_labels_io_rejects_truncated_row(tmp_path):
     assert "3" in str(excinfo.value)  # names the offending line
 
 
+def test_labels_io_refuses_a_file_with_no_rows(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("offload-labels v1\n\n")  # a blank line is no record
+    with pytest.raises(FileFormatError, match=r"labels\.csv: no label records"):
+        read_labels(path)
+
+
 @pytest.mark.parametrize("n_cols", [1, 5, 6, 7 * (MAX_VEHICLES + 1) + 6])
 def test_labels_io_rejects_a_vehicle_count_outside_the_range(tmp_path, n_cols):
     """Six columns would read as N = 0 and 7 * 17 + 6 as N = 17: no model
@@ -462,7 +521,7 @@ def _reference_arrays(inst):
 
 def _reference_mask_cost(local, off_base, sqrt_c, wt_over_f):
     """The kernel's cost of a mask, one bit at a time from bit 0 upward."""
-    base = float(local.sum())
+    base = sum(local.tolist())
     delta = (off_base - local)[::-1].tolist()
     roots = sqrt_c[::-1].tolist()
 
@@ -510,7 +569,7 @@ def _solve_sbb_reference(inst, cfg):
         if cost < inc_cost or (cost == inc_cost and mask < inc_mask):
             inc_cost, inc_mask = cost, mask
 
-    heap = [(float(per_best.sum()), 0, 0, 0)]
+    heap = [(sum(per_best.tolist()), 0, 0, 0)]
     pushes = 1
     nodes = 0
     proven = False
