@@ -157,17 +157,21 @@ def forward(
     Returns ``(logits, y, alloc)``: the class logits (``None`` when
     ``with_class`` is false, for decisions from the regression head), the
     regression head before projection, and the projected alloc.  A list
-    passed as ``acts`` receives ``x`` and every trunk activation.
+    passed as ``acts`` receives ``x`` and every trunk activation.  Biases
+    and ReLUs apply in place: a new array per step outcosts the matmuls.
     """
     h = x
     if acts is not None:
         acts.append(x)
     for w, b in model.trunk:
-        h = np.maximum(h @ w + b, 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         if acts is not None:
             acts.append(h)
     wr, br = model.reg_head
-    y = h @ wr + br
+    y = h @ wr
+    y += br
     logits = None
     if with_class:
         wc, bc = _class_head(model)
