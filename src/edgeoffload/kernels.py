@@ -17,6 +17,7 @@ exact ties the way the kernel does.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -78,13 +79,13 @@ def mask_cost(local, off_base, sqrt_cycles, wt_over_f: float):
     """Scalar cost of a mask of one instance, bit for bit as
     ``exhaustive_argmin`` computes it: ``mask_cost(...)(mask)``.
 
-    The kernel starts from the all-local sum ``sum(local)`` and adds each
-    offloader's ``off_base - local`` and root, from vehicle N-1 (the lowest
-    bit) down to vehicle 0, then adds ``(s*s) * wt_over_f``; the walk visits
-    only the set bits, in that order.  The arguments are one instance's rows
+    The kernel starts from the all-local sum, ``local`` added left to
+    right, and adds each offloader's ``off_base - local`` and root, from
+    vehicle N-1 (the lowest bit) down to vehicle 0, then adds
+    ``(s*s) * wt_over_f``; the walk visits only the set bits, in that order.  The arguments are one instance's rows
     as sequences of floats; the sum and the deltas are taken once here.
     """
-    base = sum(local)
+    base = functools.reduce(operator.add, local)
     # index j holds vehicle N-1-j, the vehicle of bit j
     delta = [o - l for o, l in zip(reversed(off_base), reversed(local))]
     roots = list(reversed(sqrt_cycles))

@@ -9,7 +9,9 @@ default N=2 shape.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import statistics
 import struct
 import time
@@ -419,7 +421,7 @@ def infer_solution(
                                 decision_source)
     decisions = mask_to_decisions(int(masks[0]), model.n_vehicles)
     shares = np.where(decisions, alloc_pred[0], 0.0).tolist()
-    total = sum(shares)  # left to right; a local vehicle's 0.0 changes no sum
+    total = functools.reduce(operator.add, shares)  # a local vehicle's 0.0 changes no sum
     if not any(decisions):
         alloc = shares  # every share is 0.0
     elif total <= 0.0 or any(a <= 0.0 for a, d in zip(shares, decisions) if d):

@@ -16,6 +16,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -100,8 +101,9 @@ def optimal_allocation(inst: OffloadInstance, decisions) -> np.ndarray:
     offs = [i for i, d in enumerate(decisions) if d]
     if not offs:
         return alloc
-    roots = np.sqrt([inst.vehicles[i].cpu_cycles for i in offs])
-    alloc[offs] = roots / sum(roots)
+    roots = [math.sqrt(inst.vehicles[i].cpu_cycles) for i in offs]
+    denom = functools.reduce(operator.add, roots)
+    alloc[offs] = [r / denom for r in roots]
     return alloc
 
 
@@ -132,7 +134,7 @@ def _report_for_mask(inst: OffloadInstance, terms, mask: int, nodes: int,
     local, _, roots, _, tx_delay = terms
     decisions = mask_to_decisions(mask, inst.n_vehicles)
     offloaders = [r for r, d in zip(roots, decisions) if d]
-    denom = sum(offloaders) if offloaders else 1.0
+    denom = functools.reduce(operator.add, offloaders) if offloaders else 1.0
     w_time, w_energy = inst.weights.w_time, inst.weights.w_energy
     edge_freq = inst.edge.edge_freq
     alloc = []
@@ -251,7 +253,7 @@ def solve_sbb(inst: OffloadInstance, cfg: SbbConfig | None = None) -> SolveRepor
         off_full.append(full)
         per_best.append(min(loc, full))
         ambiguity.append(abs(loc - full))
-    root_lb = sum(per_best)
+    root_lb = functools.reduce(operator.add, per_best)
     order = sorted(range(n), key=lambda i: (ambiguity[i], i))  # branching order
     bits = [1 << (n - 1 - i) for i in order]
     fixed = [0]  # fixed[d]: the vehicles a node at depth d has fixed
@@ -467,7 +469,7 @@ def _label_refusal(ds: LabeledDataset) -> str | None:
         return "an alloc share for a vehicle its decision keeps local"
     if ((alloc == 0.0) & offload).any():
         return "no alloc share for a vehicle its decision offloads"
-    # the shares add left to right, as sum() adds them, for one row or many
+    # the shares add left to right, as OffloadSolution adds them, for one row or many
     if (functools.reduce(np.add, alloc.T) > 1.0 + ALLOC_SUM_TOL).any():
         return "alloc shares that sum above 1"
     return None

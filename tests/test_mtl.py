@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -198,7 +200,7 @@ def _infer_solution_per_call(model, inst, decision_source):
     decisions = mask_to_decisions(mask, n)
     chosen = np.array(decisions, dtype=bool)
     masked = np.where(chosen, alloc_pred, 0.0)
-    total = sum(masked.tolist())
+    total = functools.reduce(operator.add, masked.tolist())
     if chosen.any() and (total <= 0.0 or np.any(masked[chosen] <= 0.0)):
         alloc = optimal_allocation(inst, decisions)
     elif chosen.any():

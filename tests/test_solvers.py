@@ -1,7 +1,9 @@
 import ast
 import concurrent.futures
+import functools
 import heapq
 import math
+import operator
 import os
 import tracemalloc
 from pathlib import Path
@@ -254,7 +256,8 @@ def _offload_all_model(instances):
 def _shares(values, decisions):
     """Each offloader's value over the offloaders' sum, added left to right."""
     chosen = [v for v, d in zip(values, decisions) if d]
-    return [v / sum(chosen) if d else 0.0 for v, d in zip(values, decisions)]
+    total = functools.reduce(operator.add, chosen) if chosen else 0.0
+    return [v / total if d else 0.0 for v, d in zip(values, decisions)]
 
 
 @pytest.mark.parametrize("n", [8, 9, 12, 16])
@@ -269,7 +272,7 @@ def test_vehicle_sums_add_left_to_right(n):
     label_offloaders = []
     for k, inst in enumerate(instances):
         terms = _instance_terms(inst)
-        assert kernels.mask_cost(*terms[:4])(0) == sum(terms[0])
+        assert kernels.mask_cost(*terms[:4])(0) == functools.reduce(operator.add, terms[0])
         roots = [math.sqrt(v.cpu_cycles) for v in inst.vehicles]
         label = mask_to_decisions(int(ds.decision[k]), n)
         for decisions in ((1,) * n, label):
@@ -521,7 +524,7 @@ def _reference_arrays(inst):
 
 def _reference_mask_cost(local, off_base, sqrt_c, wt_over_f):
     """The kernel's cost of a mask, one bit at a time from bit 0 upward."""
-    base = sum(local.tolist())
+    base = functools.reduce(operator.add, local.tolist())
     delta = (off_base - local)[::-1].tolist()
     roots = sqrt_c[::-1].tolist()
 
@@ -569,7 +572,7 @@ def _solve_sbb_reference(inst, cfg):
         if cost < inc_cost or (cost == inc_cost and mask < inc_mask):
             inc_cost, inc_mask = cost, mask
 
-    heap = [(sum(per_best.tolist()), 0, 0, 0)]
+    heap = [(functools.reduce(operator.add, per_best.tolist()), 0, 0, 0)]
     pushes = 1
     nodes = 0
     proven = False
