@@ -9,10 +9,9 @@ so enumerating all 2^N masks only needs per-vehicle precomputed terms.
 Masks are ordered so that the integer value equals the lexicographic order
 of the decision bit-vector (vehicle 0 is the most significant bit);
 argmin with first-hit tie-breaking then matches the contract's
-"lexicographically smallest decision" rule.  The all-local base adds the
+"lexicographically smallest decision" rule; the all-local base adds the
 vehicles left to right.  ``mask_cost`` prices single masks with the
-kernel's own operations in the kernel's order, so a scalar search breaks
-exact ties the way the kernel does.
+kernel's operations in its order, so a scalar search breaks ties alike.
 """
 from __future__ import annotations
 
@@ -79,11 +78,11 @@ def mask_cost(local, off_base, sqrt_cycles, wt_over_f: float):
     """Scalar cost of a mask of one instance, bit for bit as
     ``exhaustive_argmin`` computes it: ``mask_cost(...)(mask)``.
 
-    The kernel starts from the all-local sum, ``local`` added left to
-    right, and adds each offloader's ``off_base - local`` and root, from
-    vehicle N-1 (the lowest bit) down to vehicle 0, then adds
-    ``(s*s) * wt_over_f``; the walk visits only the set bits, in that order.  The arguments are one instance's rows
-    as sequences of floats; the sum and the deltas are taken once here.
+    The kernel starts from the all-local sum, added left to right, and adds
+    each offloader's ``off_base - local`` and root, from vehicle N-1 (the
+    lowest bit) down to vehicle 0, then adds ``(s*s) * wt_over_f``; the walk
+    visits only the set bits, in that order.  The arguments are one
+    instance's rows as sequences of floats; the sum and deltas are taken here.
     """
     base = functools.reduce(operator.add, local)
     # index j holds vehicle N-1-j, the vehicle of bit j

@@ -167,8 +167,7 @@ def forward(
         acts.append(x)
     for w, b in model.trunk:
         h = h @ w
-        h += b
-        np.maximum(h, 0.0, out=h)
+        np.maximum(np.add(h, b, out=h), 0.0, out=h)
         if acts is not None:
             acts.append(h)
     wr, br = model.reg_head

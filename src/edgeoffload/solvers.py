@@ -101,9 +101,8 @@ def optimal_allocation(inst: OffloadInstance, decisions) -> np.ndarray:
     offs = [i for i, d in enumerate(decisions) if d]
     if not offs:
         return alloc
-    roots = [math.sqrt(inst.vehicles[i].cpu_cycles) for i in offs]
-    denom = functools.reduce(operator.add, roots)
-    alloc[offs] = [r / denom for r in roots]
+    roots = np.sqrt([inst.vehicles[i].cpu_cycles for i in offs])
+    alloc[offs] = roots / functools.reduce(operator.add, roots.tolist())
     return alloc
 
 
@@ -133,8 +132,7 @@ def _report_for_mask(inst: OffloadInstance, terms, mask: int, nodes: int,
     right in vehicle order, an offloader by ``offload_cost``'s operations."""
     local, _, roots, _, tx_delay = terms
     decisions = mask_to_decisions(mask, inst.n_vehicles)
-    offloaders = [r for r, d in zip(roots, decisions) if d]
-    denom = functools.reduce(operator.add, offloaders) if offloaders else 1.0
+    denom = functools.reduce(operator.add, [r for r, d in zip(roots, decisions) if d] or [1.0])
     w_time, w_energy = inst.weights.w_time, inst.weights.w_energy
     edge_freq = inst.edge.edge_freq
     alloc = []
@@ -195,8 +193,7 @@ def _exhaustive_columns(instances: list[OffloadInstance], features: np.ndarray):
     n = local.shape[1]
     mask, _ = kernels.exhaustive_argmin(local, off_base, sqrt_c, wt_over_f)
     offload = ((mask[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-    # a local vehicle adds 0.0, which changes no sum; a row with no offloader
-    # divides by 1
+    # a local vehicle adds 0.0, which changes no sum; no offloader divides by 1
     denom = functools.reduce(np.add, np.where(offload, sqrt_c, 0.0).T)
     denom[~offload.any(axis=1)] = 1.0
     alloc = np.where(offload, sqrt_c / denom[:, None], 0.0)
