@@ -137,7 +137,7 @@ def resolve_config(spec: ExperimentSpec) -> dict:
 
 
 class _Stages:
-    """Stage timing plus cleanup of partial outputs on failure."""
+    """Stage timing, and the emitted files that the manifest digests."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -150,8 +150,6 @@ class _Stages:
         try:
             result = fn()
         except Exception as exc:
-            for path in self.files:
-                path.unlink(missing_ok=True)
             # keep the error class so the CLI exit-code mapping still applies
             cls = type(exc) if isinstance(exc, EdgeOffloadError) else EdgeOffloadError
             raise cls(f"experiment stage {name!r} failed: {exc}") from exc

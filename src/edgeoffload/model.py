@@ -274,22 +274,10 @@ def batch_features(instances: Sequence[OffloadInstance]) -> np.ndarray:
 # random instance generation
 # ---------------------------------------------------------------------------
 
-# (field, per-vehicle?) in the order the documented config keys use
-_RANGE_FIELDS = [
-    ("data_size_bits", True),
-    ("cpu_cycles", True),
-    ("local_freq", True),
-    ("tx_power", True),
-    ("bandwidth", True),
-    ("gain", True),
-    ("noise_power", False),
-    ("edge_freq", False),
-    ("kappa", False),
-    ("w_time", False),
-    ("w_energy", False),
+# the order generation draws the vehicle fields in (that of the config keys)
+_VEHICLE_RANGE_FIELDS = [
+    "data_size_bits", "cpu_cycles", "local_freq", "tx_power", "bandwidth", "gain",
 ]
-
-_VEHICLE_RANGE_FIELDS = [name for name, per_vehicle in _RANGE_FIELDS if per_vehicle]
 # range field of each VehicleParams field, in the dataclass's order
 _VEHICLE_PARAM_SOURCES = [
     "data_size_bits", "cpu_cycles", "local_freq", "tx_power", "gain", "bandwidth",
@@ -318,9 +306,11 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 
 
 def validate_ranges(ranges: dict[str, tuple[float, float]]) -> None:
+    """Refuse a config that lacks a key of ``DEFAULT_RANGES``, holds a range
+    that is not finite, has min <= 0 or min > max, or lets gain exceed 1."""
     if not ranges:
         raise ConfigError("empty parameter-range config")
-    for name, _ in _RANGE_FIELDS:
+    for name in DEFAULT_RANGES:
         if name not in ranges:
             raise ConfigError(f"missing range for {name!r}")
         lo, hi = ranges[name]
@@ -329,8 +319,6 @@ def validate_ranges(ranges: dict[str, tuple[float, float]]) -> None:
     lo, hi = ranges["gain"]
     if hi > 1.0:
         raise ConfigError(f"gain range must stay <= 1, got max {hi!r}")
-    if ranges["w_time"] == (0.0, 0.0) and ranges["w_energy"] == (0.0, 0.0):
-        raise ConfigError("w_time and w_energy ranges cannot both be pinned to zero")
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -443,7 +431,7 @@ def generate_instances(
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
     # A child stream holds one uniform per vehicle and vehicle field, in
-    # _RANGE_FIELDS order (pinned fields draw too, to keep it aligned), then
+    # _VEHICLE_RANGE_FIELDS order (pinned fields draw too, to keep it aligned), then
     # one per global that is not pinned, in _GLOBAL_DRAW_ORDER.
     n = n_vehicles
     drawn = [name for name in _GLOBAL_DRAW_ORDER if ranges[name][0] != ranges[name][1]]
@@ -575,6 +563,8 @@ def _encode_column(column: Sequence) -> str | list[str]:
             return _float_strings(values)
     elif kinds == {int}:
         return list(map(int.__repr__, column))
+    elif bool in kinds:  # the encoder would write true or false, which no reader takes
+        raise ValidationError("instance parameters must be numbers, not True or False")
     return list(map(_RECORD_ENCODER.encode, column))
 
 

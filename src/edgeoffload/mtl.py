@@ -151,33 +151,22 @@ def _project_alloc(y: np.ndarray) -> np.ndarray:
     return np.divide(r, s, out=r, where=s > 1.0)
 
 
-def forward(
-    model: MtlModel, x: np.ndarray, with_class: bool = True, acts: list | None = None
-):
+def forward(model: MtlModel, x: np.ndarray):
     """One feedforward pass over normalized rows ``x`` of shape (n, 6N+4).
 
-    Returns ``(logits, y, alloc)``: the class logits (``None`` when
-    ``with_class`` is false, for decisions from the regression head), the
-    regression head before projection, and the projected alloc.  A list
-    passed as ``acts`` receives ``x`` and every trunk activation.  Biases
-    and ReLUs apply in place: a new array per step outcosts the matmuls.
+    Returns ``(acts, y, alloc)``: ``x`` and every trunk activation, the
+    regression head before projection, and the projected alloc.  The class
+    head reads ``acts[-1]``.  Biases and ReLUs apply in place: a new array
+    per step outcosts the matmuls.
     """
-    h = x
-    if acts is not None:
-        acts.append(x)
+    acts = [x]
     for w, b in model.trunk:
-        h = h @ w
-        np.maximum(np.add(h, b, out=h), 0.0, out=h)
-        if acts is not None:
-            acts.append(h)
+        h = acts[-1] @ w
+        acts.append(np.maximum(np.add(h, b, out=h), 0.0, out=h))
     wr, br = model.reg_head
-    y = h @ wr
+    y = acts[-1] @ wr
     y += br
-    logits = None
-    if with_class:
-        wc, bc = _class_head(model)
-        logits = h @ wc + bc
-    return logits, y, _project_alloc(y)
+    return acts, y, _project_alloc(y)
 
 
 def loss_and_grads(
@@ -199,8 +188,7 @@ def loss_and_grads(
     batch = x.shape[0]
     if batch == 0:
         raise ValidationError("empty batch")
-    acts: list[np.ndarray] = []
-    logits, y, alloc = forward(model, x, with_class=chi_c != 0.0, acts=acts)
+    acts, y, alloc = forward(model, x)
     h = acts[-1]
     n_out = alloc.shape[1]
     diff = alloc - alloc_labels
@@ -221,9 +209,11 @@ def loss_and_grads(
     dy.sum(axis=0, out=g_br)
     dh = dy @ wr.T
 
-    if logits is None:
+    if chi_c == 0.0:
         ce, loss = math.nan, chi_r * mse
     else:
+        wc, bc = _class_head(model)
+        logits = h @ wc + bc
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         esum = e.sum(axis=1, keepdims=True)
         rows = np.arange(batch)
@@ -234,7 +224,7 @@ def loss_and_grads(
         dlogits = e / esum
         dlogits[rows, class_idx] -= 1.0
         dlogits *= chi_c / batch
-        (wc, _), (g_wc, g_bc) = model.class_head, grad.class_head
+        g_wc, g_bc = grad.class_head
         np.matmul(h.T, dlogits, out=g_wc)
         dlogits.sum(axis=0, out=g_bc)
         dh = dlogits @ wc.T + dh
@@ -388,8 +378,7 @@ def _decide(
         decision_source = "reg" if model.class_head is None else "class"
     if decision_source not in ("class", "reg"):
         raise ConfigError(f"unknown decision_source {decision_source!r}")
-    acts: list[np.ndarray] = []
-    _, _, alloc = forward(model, x, with_class=False, acts=acts)
+    acts, _, alloc = forward(model, x)
     n = model.n_vehicles
     if decision_source == "reg":
         return (alloc > 0.5 / n) @ _MASK_BIT_WEIGHTS[MAX_VEHICLES - n :], alloc

@@ -8,6 +8,7 @@ from edgeoffload.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_OTHER,
     EXIT_VALIDATION,
     main,
 )
@@ -82,6 +83,14 @@ def test_solve_prints_solutions(tmp_path, capsys):
     assert "optimal=True" in out
 
 
+def test_solve_of_a_header_only_instance_file_prints_nothing(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    assert _run("generate", "--count", "0", "--out", str(inst)) == EXIT_OK
+    capsys.readouterr()
+    assert _run("solve", str(inst)) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
 def test_solve_with_budget(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     cfg = tmp_path / "o.cfg"
@@ -121,6 +130,13 @@ def test_split_plan_defaults(capsys):
     out = capsys.readouterr().out
     assert "best split point" in out
     assert "crossover" in out
+
+
+def test_split_plan_with_no_crossover_says_so(tmp_path, capsys):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("split_index = 0\n")
+    assert _run("split-plan", "--config", str(cfg)) == EXIT_OK
+    assert "local/joint crossover: none in [0, 1]\n" in capsys.readouterr().out
 
 
 def test_split_plan_eta_step_that_misses_one_is_a_config_error(tmp_path, capsys):
@@ -343,6 +359,17 @@ def test_experiment_stage_failure_cleans_outputs(tmp_path, monkeypatch):
               "--out", str(out))
     assert rc == EXIT_VALIDATION
     assert not list(out.glob("*.csv"))
+    assert not (out / "manifest.json").exists()
+
+
+def test_experiment_stage_failure_outside_the_package_exits_1(tmp_path, monkeypatch, capsys):
+    def failing_sweep(scenario, eta_step):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(experiments, "eta_sweep_csv", failing_sweep)
+    out = tmp_path / "o"
+    assert _run("experiment", "--kind", "fig6-eta", "--out", str(out)) == EXIT_OTHER
+    assert "error: experiment stage 'sweep' failed: disk on fire" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

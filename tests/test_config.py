@@ -82,6 +82,12 @@ def test_train_config_hidden_sizes():
         train_config({"hidden_sizes": "8,big"})
 
 
+@pytest.mark.parametrize("value", [",", " , ,"])
+def test_train_config_refuses_hidden_sizes_with_no_entry(value):
+    with pytest.raises(ConfigError, match="needs at least one entry"):
+        train_config({"hidden_sizes": value})
+
+
 def test_train_config_rejects_negative_seed():
     assert train_config({"seed": "0"}).seed == 0
     with pytest.raises(ConfigError, match="seed"):
@@ -150,3 +156,10 @@ def test_split_scenario_overlays_the_shipped_scenario():
         split_scenario({"n_layers": "2", "split_index": "1", "layer3.cycles": "1e6"})
     with pytest.raises(ConfigError, match="layerfoo"):
         split_scenario({"layerfoo": "1"})
+
+
+def test_split_scenario_needs_the_keys_of_every_added_layer():
+    with pytest.raises(ConfigError, match="missing config key 'layer7.cycles'"):
+        split_scenario({"n_layers": "7"})
+    with pytest.raises(ConfigError, match="missing config key 'layer7.bytes'"):
+        split_scenario({"n_layers": "7", "layer7.cycles": "1e6"})

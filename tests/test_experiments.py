@@ -85,6 +85,19 @@ def test_invalid_value_fails_before_any_stage(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config_text, message", [
+    ("samples = 10\n", "must be prefixed"),
+    ("experiment = 10\n", "must be prefixed"),
+    ("solver.samples = 10\n", "must be prefixed"),
+    ("experiment.samples = 0\n", "experiment.samples must be >= 1"),
+    ("experiment.test_samples = 0\n", "experiment.test_samples must be >= 1"),
+])
+def test_resolve_config_refuses(tmp_path, config_text, message):
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(ExperimentSpec(kind="fig5a-training-fraction", out_dir=tmp_path,
+                                      config_text=config_text))
+
+
 def test_fig5a_reads_the_chi_l_alias(tmp_path):
     job = resolve_config(ExperimentSpec(kind="fig5a-training-fraction", out_dir=tmp_path,
                                         config_text="train.chi_l = 0.5\n"))

@@ -3,7 +3,7 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from edgeoffload import model
 from edgeoffload.errors import (
+    ConfigError,
     FileFormatError,
     InvalidAllocationError,
     InvalidParameterError,
@@ -310,6 +311,41 @@ def test_validate_ranges_rejects_inverted():
     bad["cpu_cycles"] = (2e9, 1e9)
     with pytest.raises(Exception):
         validate_ranges(bad)
+
+
+@pytest.mark.parametrize("ranges, message", [
+    ({}, "empty"),
+    ({k: v for k, v in DEFAULT_RANGES.items() if k != "kappa"}, "missing range for 'kappa'"),
+    ({**DEFAULT_RANGES, "gain": (1e-7, 1.5)}, "gain range must stay <= 1"),
+], ids=["empty", "missing-key", "gain-above-one"])
+def test_validate_ranges_refuses(ranges, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_ranges(ranges)
+
+
+def test_generation_refuses_zero_vehicles():
+    with pytest.raises(InvalidParameterError, match="n_vehicles"):
+        generate_instances(0, 3)
+
+
+@pytest.mark.parametrize("decisions, alloc", [([1], [1.0, 0.0]), ([1, 0], [1.0])])
+def test_total_cost_refuses_a_length_mismatch(decisions, alloc):
+    inst = generate_instances(2, 1)[0]
+    with pytest.raises(InvalidAllocationError, match="length"):
+        total_cost(inst, decisions, alloc)
+
+
+@pytest.mark.parametrize("part", ["vehicle", "weights"])
+def test_writing_a_bool_parameter_is_refused(tmp_path, part):
+    """A bool passes the positive checks as 1, but the file would hold true."""
+    a, b = generate_instances(2, 2, seed=3)
+    if part == "vehicle":
+        b = replace(b, vehicles=(replace(b.vehicles[0], data_size=True), b.vehicles[1]))
+    else:
+        b = replace(b, weights=replace(b.weights, w_time=True))
+    for batch in ([a, b], [b]):
+        with pytest.raises(ValidationError, match="not True or False"):
+            write_instances(tmp_path / "inst.txt", batch)
 
 
 def test_raw_features_layout():

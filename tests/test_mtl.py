@@ -88,8 +88,9 @@ def test_feature_count():
 
 def test_forward_shapes(trained, small_ds):
     model, _ = trained
-    logits, y, alloc = forward(model, normalize(small_ds.features[:7], model))
-    probs = _softmax(logits)
+    acts, y, alloc = forward(model, normalize(small_ds.features[:7], model))
+    wc, bc = model.class_head
+    probs = _softmax(acts[-1] @ wc + bc)
     assert probs.shape == (7, 4)
     assert y.shape == (7, 2)
     assert alloc.shape == (7, 2)
@@ -105,11 +106,44 @@ def test_normalize_takes_rows_of_the_feature_count_only(trained, shape):
 def test_forward_alloc_projected_to_simplex(trained, small_ds):
     model, _ = trained
     x = normalize(small_ds.features, model)
-    logits, _, alloc = forward(model, x, with_class=False)
-    assert logits is None
+    _, _, alloc = forward(model, x)
     assert (alloc >= -1e-12).all()
     assert (alloc.sum(axis=1) <= 1.0 + 1e-9).all()
     np.testing.assert_array_equal(forward(model, x)[2], alloc)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"chi_c": 0.0, "chi_r": 0.0}, "chi_c \\+ chi_r > 0"),
+    ({"train_fraction": 0.0}, "train_fraction"),
+    ({"train_fraction": 1.5}, "train_fraction"),
+    ({"epochs": 0}, "epochs"),
+    ({"batch_size": 0}, "batch_size"),
+])
+def test_train_config_refuses(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**fields)
+
+
+def test_loss_and_grads_refuses_an_empty_batch(trained, small_ds):
+    model, _ = trained
+    x = normalize(small_ds.features[:0], model)
+    with pytest.raises(ValidationError, match="empty batch"):
+        loss_and_grads(model, x, small_ds.decision[:0], small_ds.alloc[:0], 1.0, 1.0,
+                       _grad_like(model))
+
+
+def test_train_and_evaluate_refuse_an_empty_dataset(trained, small_ds):
+    empty = replace(small_ds, features=small_ds.features[:0], decision=small_ds.decision[:0],
+                    alloc=small_ds.alloc[:0], cost=small_ds.cost[:0])
+    with pytest.raises(ValidationError, match="training dataset is empty"):
+        train(empty, TrainConfig(epochs=1))
+    with pytest.raises(ValidationError, match="evaluation dataset is empty"):
+        evaluate(trained[0], empty)
+
+
+def test_infer_solution_refuses_an_instance_of_another_n(trained):
+    with pytest.raises(ShapeError, match="model is for N=2, instance has N=3"):
+        infer_solution(trained[0], generate_instances(3, 1)[0])
 
 
 def test_training_reduces_loss(trained):
@@ -366,9 +400,9 @@ def test_model_serialization_roundtrip(trained):
     back = load_model_bytes(blob)
     assert save_model_bytes(back) == blob
     x = np.random.default_rng(0).normal(size=(4, feature_count(2)))
-    l1, _, a1 = forward(model, x)
-    l2, _, a2 = forward(back, x)
-    p1, p2 = _softmax(l1), _softmax(l2)
+    (h1, _, a1), (h2, _, a2) = forward(model, x), forward(back, x)
+    p1 = _softmax(h1[-1] @ model.class_head[0] + model.class_head[1])
+    p2 = _softmax(h2[-1] @ back.class_head[0] + back.class_head[1])
     # float32 storage quantizes the weights once; reload is then exact
     np.testing.assert_allclose(p1, p2, atol=1e-5)
     np.testing.assert_allclose(a1, a2, atol=1e-5)
@@ -426,6 +460,17 @@ def test_model_heads_are_views_of_the_weights():
     assert not any(p.any() for p in _tensors(model))
     with pytest.raises(ShapeError, match="31 weights"):
         MtlModel(1, (2,), model.feature_mean, model.feature_std, model.weights[:-1])
+
+
+@pytest.mark.parametrize("field, bad, error", [
+    ("feature_mean", np.zeros(15), ShapeError),
+    ("feature_std", np.ones((1, 16)), ShapeError),
+    ("feature_std", np.r_[np.ones(15), 0.0], ValidationError),
+    ("feature_std", np.r_[-1.0, np.ones(15)], ValidationError),
+], ids=["short-mean", "2d-std", "zero-std", "negative-std"])
+def test_model_refuses_stats_it_cannot_normalize_by(trained, field, bad, error):
+    with pytest.raises(error, match="normalization stats|feature_std entries must be > 0"):
+        replace(trained[0], **{field: bad})
 
 
 def test_model_load_rejects_garbage():
@@ -619,8 +664,7 @@ def _loss_and_grads_full_backward(model, x, class_idx, alloc_labels, chi_c, chi_
     batch = x.shape[0]
     if batch == 0:
         raise ValidationError("empty batch")
-    acts: list[np.ndarray] = []
-    _, y, alloc = forward(model, x, with_class=False, acts=acts)
+    acts, y, alloc = forward(model, x)
     h = acts[-1]
     n_classes = 1 << model.n_vehicles
     wc, bc = model.class_head or (np.zeros((h.shape[1], n_classes)), np.zeros(n_classes))
@@ -783,7 +827,8 @@ def test_class_decisions_memory_bounded_by_chunk_budget():
     d = feature_count(n)
     model = mtl._init_model(n, (16, 16), np.zeros(d), np.ones(d), np.random.default_rng(170))
     x = np.random.default_rng(171).normal(size=(600, d))
-    expected = forward(model, x)[0].argmax(axis=1)
+    wc, bc = model.class_head
+    expected = (forward(model, x)[0][-1] @ wc + bc).argmax(axis=1)
     tracemalloc.start()
     try:
         masks, alloc = mtl._decide(model, x, "class")
@@ -800,9 +845,9 @@ def _loss_and_grads_before_trims(model, x, class_idx, alloc_labels, chi_c, chi_r
     ``np.clip`` for the probability floor, as it ran before those calls were
     trimmed to ``np.add.reduce`` and ``np.maximum``."""
     batch = x.shape[0]
-    acts: list[np.ndarray] = []
-    logits, y, alloc = forward(model, x, with_class=chi_c != 0.0, acts=acts)
+    acts, y, alloc = forward(model, x)
     h = acts[-1]
+    logits = h @ model.class_head[0] + model.class_head[1] if chi_c != 0.0 else None
     n_out = alloc.shape[1]
     diff = alloc - alloc_labels
     mse = float((diff**2).mean())

@@ -80,6 +80,13 @@ def test_optimal_allocation_zero_for_local():
     assert alloc[1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("decisions", [(1, 1), (1, 0, 1, 1)])
+def test_optimal_allocation_refuses_a_length_mismatch(decisions):
+    inst = generate_instances(3, 1, seed=12)[0]
+    with pytest.raises(ValidationError, match="length"):
+        optimal_allocation(inst, decisions)
+
+
 def test_exhaustive_beats_every_candidate():
     """The exhaustive report must cost no more than any enumerated strategy."""
     inst = generate_instances(3, 1, seed=21)[0]
@@ -163,6 +170,11 @@ def test_sbb_budgeted_cost_never_below_optimum():
 def test_solve_batch_rejects_unknown_solver():
     with pytest.raises(ConfigError):
         solve_batch(generate_instances(2, 1), "newton")
+
+
+@pytest.mark.parametrize("solver", ["exhaustive", "sbb"])
+def test_solve_batch_of_no_instances_is_empty(solver):
+    assert solve_batch([], solver) == []
 
 
 def test_node_budget_is_read_by_sbb_or_refused():

@@ -148,6 +148,25 @@ def test_crossover_none_when_lines_meet_outside_range(scenario):
     assert local_joint_crossover(off) is None
 
 
+@pytest.mark.parametrize("part, changes, message", [
+    ("profile", {"layers": ()}, "nonempty"),
+    ("profile", {"input_size": 0.0}, "input_size"),
+    ("profile", {"input_size": math.inf}, "input_size"),
+    ("profile", {"layers": ((0.0, 1e3),)}, "layer cycles"),
+    ("profile", {"layers": ((1e6, math.nan),)}, "layer cycles"),
+    ("acc", {"acc_full": 1.5}, r"acc_full must be in \[0, 1\]"),
+    ("acc", {"acc_snn_bad": -0.1}, r"acc_snn_bad must be in \[0, 1\]"),
+    ("acc", {"acc_snn_good": 0.95, "acc_full": 0.9}, "acc_snn_good <= acc_full"),
+    ("acc", {"miss_penalty": -1.0}, "miss_penalty"),
+    (None, {"split_index": -1}, r"split_index must be in 0\.\.6"),
+    (None, {"split_index": 7}, r"split_index must be in 0\.\.6"),
+])
+def test_scenario_parts_refuse_values_no_scenario_holds(scenario, part, changes, message):
+    target = scenario if part is None else getattr(scenario, part)
+    with pytest.raises(InvalidParameterError, match=message):
+        replace(target, **changes)
+
+
 @given(eta=st.floats(min_value=0.0, max_value=1.0))
 def test_costs_finite_and_positive(eta):
     sc, _ = split_scenario(None)
