@@ -118,6 +118,11 @@ def cmd_experiment(args) -> int:
         for name, value in new.measurements.items():
             recorded = old.measurements.get(name, "n/a")
             print(f"measurement {name}: {_measurement(value)} (recorded {_measurement(recorded)})")
+        recorded, now = (m.get("blas_kernel", "n/a") for m in (old.measurements, new.measurements))
+        kernel = "same blas_kernel" if recorded == now else "blas_kernel differs"
+        for name in sorted(old.digests.keys() | new.digests.keys()):
+            if old.digests.get(name) != new.digests.get(name):
+                print(f"digest mismatch {name}: {kernel} (recorded {recorded}, now {now})")
         print("byte-identical CSVs" if identical else "DIGEST MISMATCH")
         return EXIT_OK if identical else EXIT_VALIDATION
     if args.kind is None:

@@ -180,15 +180,19 @@ def _gnuplot(csv_name: str, ylabel: str, columns: list[tuple[int, str]]) -> str:
 # the three pipelines
 # ---------------------------------------------------------------------------
 
-def _run_fig5a(stages: _Stages, *, seed: int, n_vehicles: int,
-               ranges: dict[str, tuple[float, float]], samples: int, test_samples: int,
-               runs: list[tuple[float, TrainConfig]]) -> None:
-    def make_data():
-        train_insts = generate_instances(n_vehicles, samples, ranges, seed=seed)
-        test_insts = generate_instances(n_vehicles, test_samples, ranges, seed=seed + 1)
-        return label_instances(train_insts), label_instances(test_insts)
+def _labeled_sets(n: int, *, seed: int, ranges: dict[str, tuple[float, float]],
+                  samples: int, test_samples: int):
+    """The test instances, then the exact labels of the train set (``samples``
+    instances of ``n`` vehicles drawn at ``seed``) and of the test set
+    (``test_samples`` instances drawn at ``seed + 1``)."""
+    train_insts = generate_instances(n, samples, ranges, seed=seed)
+    test_insts = generate_instances(n, test_samples, ranges, seed=seed + 1)
+    return test_insts, label_instances(train_insts), label_instances(test_insts)
 
-    ds, test_ds = stages.run("label", make_data)
+
+def _run_fig5a(stages: _Stages, *, n_vehicles: int, runs: list[tuple[float, TrainConfig]],
+               **data) -> None:
+    _, ds, test_ds = stages.run("label", lambda: _labeled_sets(n_vehicles, **data))
 
     rows = []
     for frac, cfg in runs:
@@ -204,24 +208,20 @@ def _run_fig5a(stages: _Stages, *, seed: int, n_vehicles: int,
                                      [(2, "accuracy"), (3, "alloc MSE")]))
 
 
-def _run_fig5b(stages: _Stages, *, seed: int, ranges: dict[str, tuple[float, float]],
-               samples: int, test_samples: int, runs: list[tuple[int, TrainConfig]],
-               sbb: SbbConfig) -> None:
+def _run_fig5b(stages: _Stages, *, runs: list[tuple[int, TrainConfig]], sbb: SbbConfig,
+               **data) -> None:
     rows = []
     for n, cfg in runs:
-        def make_data(n=n):
-            train_insts = generate_instances(n, samples, ranges, seed=seed)
-            test_insts = generate_instances(n, test_samples, ranges, seed=seed + 1)
-            return train_insts, test_insts, label_instances(train_insts), label_instances(test_insts)
-
-        train_insts, test_insts, ds, test_ds = stages.run(f"label@N={n}", make_data)
+        test_insts, ds, test_ds = stages.run(f"label@N={n}", lambda: _labeled_sets(n, **data))
         model, _ = stages.run(f"train@N={n}", lambda: train(ds, cfg))
         mtl_metrics = evaluate(model, test_ds)
-        def solve_all(test_insts=test_insts):
-            return [solve_sbb(inst, sbb) for inst in test_insts]
-        sbb_metrics = solver_metrics(stages.run(f"sbb@N={n}", solve_all), test_ds)
+        sbb_labels = stages.run(f"sbb@N={n}", lambda: label_instances(
+            test_insts, "sbb", max_nodes=sbb.max_nodes))
+        sbb_metrics = solver_metrics(sbb_labels, test_ds)
         rows.append((n, mtl_metrics.class_accuracy, sbb_metrics.class_accuracy,
                      mtl_metrics.reg_mse, sbb_metrics.reg_mse))
+        def solve_all(test_insts=test_insts):
+            return [solve_sbb(inst, sbb) for inst in test_insts]
         def infer_all(test_insts=test_insts):
             return [infer_solution(model, inst) for inst in test_insts]
         stages.measurements[f"time_mtl@N={n}"] = decision_seconds(model, test_ds)

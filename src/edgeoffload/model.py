@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -478,10 +479,19 @@ def generate_instances(
 # ---------------------------------------------------------------------------
 
 def write_records(path, header: str, records: Iterable[str]) -> None:
-    """Write ``header``, then each record on its own line, one at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(map("{}\n".format, records))  # no loop variable holds a record
+    """Write ``header``, then each record on its own line, one at a time, to a
+    new file beside ``path`` that replaces it only once the last record is
+    written, so a write that raises leaves ``path`` as it was."""
+    part = f"{os.fspath(path)}.{os.urandom(6).hex()}.part"
+    fh = open(part, "x", encoding="utf-8")  # made with the mode open(path, "w") gives
+    try:
+        with fh:
+            fh.write(header + "\n")
+            fh.writelines(map("{}\n".format, records))  # no loop variable holds a record
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 def read_records(path, header: str, parse: Callable[[str], object]) -> list:

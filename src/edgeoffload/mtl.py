@@ -23,7 +23,7 @@ from .errors import ConfigError, FileFormatError, ShapeError, ValidationError
 from .kernels import CHUNK_BYTES
 from .model import (MAX_VEHICLES, OffloadInstance, OffloadSolution, feature_count,
                     raw_features, total_cost, write_records)
-from .solvers import LabeledDataset, _report_columns, mask_to_decisions, optimal_allocation
+from .solvers import LabeledDataset, mask_to_decisions, optimal_allocation
 
 MODEL_FILE_HEADER = b"mtl-model v2\n"
 DEFAULT_HIDDEN = (12, 12)  # largest symmetric pair keeping the N=2 file <= 2048 B
@@ -432,9 +432,10 @@ def evaluate(model: MtlModel, ds: LabeledDataset) -> EvalMetrics:
     return _score(*_decide(model, normalize(ds.features, model)), ds)
 
 
-def solver_metrics(reports, ds: LabeledDataset) -> EvalMetrics:
-    """Score solver outputs against oracle labels with the same metrics."""
-    return _score(*_report_columns(reports)[:2], ds)
+def solver_metrics(labels: LabeledDataset, ds: LabeledDataset) -> EvalMetrics:
+    """``evaluate``'s metrics of a solver's ``label_instances`` columns against
+    the oracle labels ``ds`` of the same instances."""
+    return _score(labels.decision, labels.alloc, ds)
 
 
 def seconds_per_item(run, n_items: int) -> float:

@@ -361,21 +361,15 @@ def solve_batch(
             for m, a, c in zip(mask.tolist(), alloc.tolist(), cost.tolist())]
 
 
-def _report_columns(reports: list[SolveReport]):
-    decision = np.array(
-        [decisions_to_mask(r.solution.decisions) for r in reports], dtype=np.int64
-    )
-    alloc = np.array([r.solution.alloc for r in reports])
-    cost = np.array([r.solution.cost for r in reports])
-    return decision, alloc, cost
-
-
 def _label_chunk(args):
-    """(decision, alloc, cost) columns of one chunk of a labeling job."""
+    """(decision, alloc, cost) columns of one chunk of a labeling job; the one
+    place that gathers sbb's per-call reports into columns."""
     instances, features, solver, max_nodes = args
     if solver == "exhaustive":
         return _exhaustive_columns(instances, features)
-    return _report_columns(solve_batch(instances, solver, max_nodes))
+    sols = [r.solution for r in solve_batch(instances, solver, max_nodes)]
+    return (np.array([decisions_to_mask(s.decisions) for s in sols], dtype=np.int64),
+            np.array([s.alloc for s in sols]), np.array([s.cost for s in sols]))
 
 
 def label_instances(

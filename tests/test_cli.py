@@ -322,6 +322,23 @@ def test_experiment_fig6_and_replay(tmp_path, capsys):
     assert (out / "fig6.csv").read_bytes() == (replay_out / "fig6.csv").read_bytes()
 
 
+def test_replay_names_each_mismatched_digest_and_the_blas_kernel(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert _run("experiment", "--kind", "fig6-eta", "--out", str(out)) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    kernel = manifest["measurements"]["blas_kernel"]
+    manifest["measurements"]["blas_kernel"] = "Elsewhere"
+    manifest["digests"]["fig6.csv"] = "0" * 64
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _run("experiment", "--replay", str(out / "manifest.json"),
+                "--out", str(tmp_path / "replay")) == EXIT_VALIDATION
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("digest mismatch")] == [
+        f"digest mismatch fig6.csv: blas_kernel differs (recorded Elsewhere, now {kernel})"]
+    assert lines[-1] == "DIGEST MISMATCH"
+
+
 def test_experiment_requires_kind_or_replay(tmp_path):
     assert _run("experiment", "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
@@ -347,7 +364,7 @@ def _config_text(kv):
     return "".join(f"{key} = {value}\n" for key, value in kv.items())
 
 
-def test_experiment_stage_failure_cleans_outputs(tmp_path, monkeypatch):
+def test_experiment_stage_failure_leaves_no_csv_and_no_manifest(tmp_path, monkeypatch):
     def failing_train(ds, cfg):
         raise ValidationError("diverged")
 

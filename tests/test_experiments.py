@@ -63,7 +63,7 @@ def test_manifest_digests_match_files(tmp_path):
     assert set(manifest.digests) == {"fig6.csv", "fig6.gp"}
 
 
-def test_stage_failure_removes_partial_outputs(tmp_path, monkeypatch):
+def test_failed_stage_leaves_no_csv_and_no_manifest(tmp_path, monkeypatch):
     def failing_train(ds, cfg):
         raise ValidationError("diverged")
 

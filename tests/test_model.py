@@ -348,6 +348,27 @@ def test_writing_a_bool_parameter_is_refused(tmp_path, part):
             write_instances(tmp_path / "inst.txt", batch)
 
 
+@pytest.mark.parametrize("before", [None, b"an older file\n"])
+def test_a_refused_write_leaves_the_path_as_it_was(tmp_path, before):
+    """The refusal comes after the first chunk's 1 024 records are written."""
+    *head, last = generate_instances(2, 1027, seed=3)
+    instances = [*head, replace(last, weights=replace(last.weights, w_time=True))]
+    path = tmp_path / "inst.txt"
+    if before is not None:
+        path.write_bytes(before)
+    with pytest.raises(ValidationError, match="not True or False"):
+        write_instances(path, instances)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["inst.txt"])
+    assert before is None or path.read_bytes() == before
+
+
+def test_written_files_take_the_mode_open_would_give(tmp_path):
+    made_by_open = tmp_path / "by-open.txt"
+    made_by_open.write_text("")
+    write_instances(tmp_path / "inst.txt", generate_instances(2, 2, seed=3))
+    assert (tmp_path / "inst.txt").stat().st_mode == made_by_open.stat().st_mode
+
+
 def test_raw_features_layout():
     inst = generate_instances(2, 1, seed=5)[0]
     feats = raw_features(inst)

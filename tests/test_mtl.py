@@ -381,8 +381,7 @@ def test_seconds_per_item_needs_an_item():
 def test_solver_metrics_perfect_for_oracle(small_ds):
     instances = generate_instances(2, 30, seed=104)
     ds = label_instances(instances)
-    reports = [solve_sbb(inst) for inst in instances]
-    metrics = solver_metrics(reports, ds)
+    metrics = solver_metrics(label_instances(instances, "sbb"), ds)
     assert metrics.class_accuracy == 1.0
     assert metrics.reg_mse == pytest.approx(0.0, abs=1e-20)
 
@@ -390,7 +389,7 @@ def test_solver_metrics_perfect_for_oracle(small_ds):
 def test_budgeted_sbb_metrics_degrade():
     instances = generate_instances(8, 120, seed=105)
     ds = label_instances(instances)
-    budgeted = solver_metrics([solve_sbb(i, SbbConfig(max_nodes=2)) for i in instances], ds)
+    budgeted = solver_metrics(label_instances(instances, "sbb", max_nodes=2), ds)
     assert budgeted.class_accuracy < 1.0
 
 

@@ -184,6 +184,12 @@ def test_node_budget_is_read_by_sbb_or_refused():
         solve_sbb(inst, SbbConfig(max_nodes=2)).nodes_explored for inst in instances]
     assert label_instances(instances, "sbb", max_nodes=2).cost.tolist() == [
         r.solution.cost for r in budgeted]
+    # at 16 nodes, the budget fig5b scores, the columns are the per-call reports
+    reports = [solve_sbb(inst, SbbConfig(max_nodes=16)) for inst in instances]
+    labels = label_instances(instances, "sbb", max_nodes=16)
+    assert labels.decision.tolist() == [decisions_to_mask(r.solution.decisions) for r in reports]
+    assert labels.alloc.tolist() == [list(r.solution.alloc) for r in reports]
+    assert labels.cost.tolist() == [r.solution.cost for r in reports]
     for call in (solve_batch, label_instances):
         with pytest.raises(ConfigError):
             call(instances, "exhaustive", max_nodes=16)
