@@ -46,8 +46,7 @@ def cmd_generate(args) -> int:
 
 def cmd_label(args) -> int:
     instances = read_instances(args.instances)
-    ds = label_instances(instances, solver=args.solver, max_nodes=args.max_nodes,
-                         workers=args.workers)
+    ds = label_instances(instances, solver=args.solver, max_nodes=args.max_nodes)
     write_labels(args.out, ds)
     print(f"labeled {len(instances)} instances with {args.solver} -> {args.out}")
     return EXIT_OK
@@ -158,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="solve instances into a labeled dataset")
     p.add_argument("instances", type=Path)
     p.add_argument("--out", type=Path, required=True, help="label file to write")
-    p.add_argument("--workers", type=int, default=1)
     _solver_flags(p)
     p.set_defaults(fn=cmd_label)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import offload_config, overlay, parse_kv_text, split_scenario, train_config
-from .errors import ConfigError, EdgeOffloadError
+from .errors import ConfigError, EdgeOffloadError, FileFormatError
 from .model import MAX_VEHICLES, generate_instances
 from .mtl import (TrainConfig, decision_seconds, evaluate, infer_solution, seconds_per_item,
                   solver_metrics, train)
@@ -81,11 +81,26 @@ class RunManifest:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
-        return cls(**{k: data[k] for k in
-                      ("tool_version", "kind", "seed", "config_text", "stage_seconds", "digests")},
-                   measurements=data.get("measurements", {}))
+    def from_json(cls, raw: str | bytes, source="manifest") -> "RunManifest":
+        """The manifest that ``raw`` (text, or UTF-8 bytes) holds; anything
+        else is a ``FileFormatError`` that names ``source``."""
+        try:
+            data = json.loads(raw if isinstance(raw, str) else raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
+            raise FileFormatError(f"{source}: not a UTF-8 JSON manifest ({exc})") from None
+        keys = ("tool_version", "kind", "seed", "config_text", "stage_seconds", "digests")
+        if not isinstance(data, dict) or not data.keys() >= set(keys):
+            raise FileFormatError(f"{source}: a manifest is a JSON object with keys {keys}")
+        seed, digests, measurements = data["seed"], data["digests"], data.get("measurements", {})
+        wrong = [key for key, ok in (
+            ("seed", isinstance(seed, int) and not isinstance(seed, bool)),
+            ("config_text", isinstance(data["config_text"], str)),
+            ("digests", isinstance(digests, dict)
+             and all(isinstance(d, str) for d in digests.values())),
+            ("measurements", isinstance(measurements, dict))) if not ok]
+        if wrong:
+            raise FileFormatError(f"{source}: the manifest's {wrong[0]} has the wrong type")
+        return cls(**{key: data[key] for key in keys}, measurements=measurements)
 
 
 def sha256_file(path: Path) -> str:
@@ -119,6 +134,9 @@ def resolve_config(spec: ExperimentSpec) -> dict:
     for key in ("samples", "test_samples"):
         if exp[key] < 1:
             raise ConfigError(f"experiment.{key} must be >= 1, got {exp[key]}")
+    for key in ("fractions", "n_list"):
+        if len(set(exp.get(key, ()))) < len(exp.get(key, ())):
+            raise ConfigError(f"experiment.{key} repeats a value: {exp[key]}")
     n_vehicles, ranges = offload_config(fams["offload"])
     sizes = exp.get("n_list", (n_vehicles,))  # the vehicle counts the run draws
     bad = [n for n in sizes if not 1 <= n <= MAX_VEHICLES]
@@ -304,7 +322,7 @@ def _openblas_call(symbol: str, restype):
 
 def replay_manifest(manifest_path, out_dir) -> tuple[RunManifest, RunManifest, bool]:
     """Re-run an experiment from its manifest; returns (old, new, identical)."""
-    old = RunManifest.from_json(Path(manifest_path).read_text(encoding="utf-8"))
+    old = RunManifest.from_json(Path(manifest_path).read_bytes(), manifest_path)
     spec = ExperimentSpec(kind=old.kind, out_dir=Path(out_dir), seed=old.seed,
                           config_text=old.config_text)
     new = run_experiment(spec)

@@ -434,7 +434,9 @@ def evaluate(model: MtlModel, ds: LabeledDataset) -> EvalMetrics:
 
 def solver_metrics(labels: LabeledDataset, ds: LabeledDataset) -> EvalMetrics:
     """``evaluate``'s metrics of a solver's ``label_instances`` columns against
-    the oracle labels ``ds`` of the same instances."""
+    the oracle labels ``ds`` of the same instances, refused unless the features are equal."""
+    if not np.array_equal(labels.features, ds.features):
+        raise ValidationError("solver labels and oracle labels hold different instances")
     return _score(labels.decision, labels.alloc, ds)
 
 

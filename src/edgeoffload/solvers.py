@@ -17,7 +17,6 @@ import heapq
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,50 +360,31 @@ def solve_batch(
             for m, a, c in zip(mask.tolist(), alloc.tolist(), cost.tolist())]
 
 
-def _label_chunk(args):
-    """(decision, alloc, cost) columns of one chunk of a labeling job; the one
-    place that gathers sbb's per-call reports into columns."""
-    instances, features, solver, max_nodes = args
-    if solver == "exhaustive":
-        return _exhaustive_columns(instances, features)
-    sols = [r.solution for r in solve_batch(instances, solver, max_nodes)]
-    return (np.array([decisions_to_mask(s.decisions) for s in sols], dtype=np.int64),
-            np.array([s.alloc for s in sols]), np.array([s.cost for s in sols]))
-
-
 def label_instances(
     instances: list[OffloadInstance],
     solver: str = "exhaustive",
     max_nodes: int | None = None,
     workers: int = 1,
 ) -> LabeledDataset:
-    """Solve every instance and assemble (features, label) rows in input order.
+    """Solve every instance in this process and assemble (features, label)
+    rows in input order.
 
     The batch must be non-empty and share one N.  ``max_nodes`` is sbb's
-    node budget, as in ``solve_batch``.  ``workers`` (at least 1) caps the
-    processes; no more start than there are CPUs or instances.
+    node budget, as in ``solve_batch``.  ``workers`` must be 1.
     """
-    _sbb_config(solver, max_nodes)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    cfg = _sbb_config(solver, max_nodes)
+    if workers != 1:
+        raise ConfigError(f"labeling runs in one process: workers must be 1, got {workers}")
     if not instances:
         raise ValidationError("no instances to label")
     features = batch_features(instances)
-    procs = min(workers, os.cpu_count() or 1, len(instances))
-    if procs > 1:
-        # imported here: the pool's modules add about 2 MB to every process
-        # that imports the package, and only this branch uses them
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [
-            ([instances[i] for i in idx], features[idx], solver, max_nodes)
-            for idx in np.array_split(np.arange(len(instances)), procs)
-        ]
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            parts = list(pool.map(_label_chunk, jobs))
-        decision, alloc, cost = (np.concatenate(col) for col in zip(*parts))
+    if solver == "exhaustive":
+        decision, alloc, cost = _exhaustive_columns(instances, features)
     else:
-        decision, alloc, cost = _label_chunk((instances, features, solver, max_nodes))
+        # the one place that gathers sbb's per-call reports into columns
+        sols = [solve_sbb(inst, cfg).solution for inst in instances]
+        decision = np.array([decisions_to_mask(s.decisions) for s in sols], dtype=np.int64)
+        alloc, cost = np.array([s.alloc for s in sols]), np.array([s.cost for s in sols])
     return LabeledDataset(features=features, decision=decision, alloc=alloc, cost=cost)
 
 

@@ -156,14 +156,17 @@ def test_split_plan_eta_outside_the_unit_interval_prints_nothing(tmp_path, capsy
     assert not sweep.exists()
 
 
+# labeling runs in one process, so `label` has no --workers option to set below one
 @pytest.mark.parametrize("workers", ["0", "-5"])
 def test_label_workers_below_one_is_a_config_error(tmp_path, capsys, workers):
     inst, labels = tmp_path / "inst.txt", tmp_path / "labels.csv"
     assert _run("generate", "--count", "3", "--out", str(inst)) == EXIT_OK
     capsys.readouterr()
-    assert _run("label", str(inst), "--workers", workers, "--out", str(labels)) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as excinfo:
+        _run("label", str(inst), "--workers", workers, "--out", str(labels))
+    assert excinfo.value.code == EXIT_CONFIG
     out, err = capsys.readouterr()
-    assert not out and "workers must be >= 1" in err
+    assert not out and "--workers" in err
     assert not labels.exists()
 
 
@@ -339,6 +342,44 @@ def test_replay_names_each_mismatched_digest_and_the_blas_kernel(tmp_path, capsy
     assert lines[-1] == "DIGEST MISMATCH"
 
 
+_MANIFEST = {"tool_version": "0.1.0", "kind": "fig6-eta", "seed": 0, "config_text": "",
+             "stage_seconds": {}, "digests": {}}
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"not json", id="not-json"),
+    pytest.param(b'{"kind": "fig6-eta\xff"}', id="not-utf8"),
+    pytest.param(b"[" * 100_000, id="nested-too-deep"),
+    pytest.param([1, 2], id="list"),
+    pytest.param({"kind": "fig6-eta"}, id="kind-only"),
+    *(pytest.param({k: v for k, v in _MANIFEST.items() if k != key}, id=f"no-{key}")
+      for key in _MANIFEST),
+    pytest.param({**_MANIFEST, "seed": "0"}, id="seed-str"),
+    pytest.param({**_MANIFEST, "seed": 1.0}, id="seed-float"),
+    pytest.param({**_MANIFEST, "seed": True}, id="seed-bool"),
+    pytest.param({**_MANIFEST, "config_text": None}, id="config_text-null"),
+    pytest.param({**_MANIFEST, "digests": ["fig6.csv"]}, id="digests-list"),
+    pytest.param({**_MANIFEST, "digests": {"fig6.csv": 1}}, id="digests-int"),
+    pytest.param({**_MANIFEST, "measurements": []}, id="measurements-list"),
+])
+def test_malformed_manifest_is_a_file_format_error(tmp_path, capsys, content):
+    manifest, out = tmp_path / "manifest.json", tmp_path / "replay"
+    manifest.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    assert _run("experiment", "--replay", str(manifest), "--out", str(out)) == EXIT_IO
+    out_text, err = capsys.readouterr()
+    assert not out_text and err.startswith(f"file format error: {manifest}: ")
+    assert not out.exists()
+
+
+def test_replay_of_a_manifest_without_measurements(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(_MANIFEST))
+    # the empty digests differ from the run's, so the replay runs and reports a mismatch
+    assert _run("experiment", "--replay", str(manifest),
+                "--out", str(tmp_path / "replay")) == EXIT_VALIDATION
+    assert (tmp_path / "replay" / "fig6.csv").exists()
+
+
 def test_experiment_requires_kind_or_replay(tmp_path):
     assert _run("experiment", "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
@@ -414,6 +455,8 @@ def test_experiment_stage_failure_outside_the_package_exits_1(tmp_path, monkeypa
     ("fig5a-training-fraction", "experiment.fractions", "0.5,x"),
     ("fig5b-n-avs", "experiment.n_list", "2.7"),
     ("fig5b-n-avs", "experiment.n_list", "2,17"),
+    ("fig5b-n-avs", "experiment.n_list", "2,2"),
+    ("fig5a-training-fraction", "experiment.fractions", "0.5,0.50"),
     ("fig5a-training-fraction", "train.hidden_sizes", "0"),
     ("fig5a-training-fraction", "train.hidden_sizes", "8,-3"),
     ("fig5a-training-fraction", "train.learning_rate", "-1"),
@@ -456,7 +499,7 @@ _BASE_ARGV = {
 # each command accepts only the options its handler reads
 @pytest.mark.parametrize("command, flag", [
     ("generate", "--workers"), ("train", "--workers"), ("experiment", "--workers"),
-    ("label", "--config"), ("label", "--seed"),
+    ("label", "--config"), ("label", "--seed"), ("label", "--workers"),
     ("eval", "--config"), ("eval", "--seed"), ("eval", "--out"), ("eval", "--workers"),
     ("eval", "--decision-source"),
     ("solve", "--config"), ("solve", "--seed"), ("solve", "--workers"),

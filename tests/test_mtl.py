@@ -386,6 +386,16 @@ def test_solver_metrics_perfect_for_oracle(small_ds):
     assert metrics.reg_mse == pytest.approx(0.0, abs=1e-20)
 
 
+@pytest.mark.parametrize("n_labeled, seed", [(1, 106), (50, 107)])
+def test_solver_metrics_refuses_labels_of_other_instances(n_labeled, seed):
+    """One row would broadcast against 50, and 50 rows of other instances
+    would score as if they were the same."""
+    ds = label_instances(generate_instances(2, 50, seed=106))
+    labels = label_instances(generate_instances(2, n_labeled, seed=seed), "sbb")
+    with pytest.raises(ValidationError, match="different instances"):
+        solver_metrics(labels, ds)
+
+
 def test_budgeted_sbb_metrics_degrade():
     instances = generate_instances(8, 120, seed=105)
     ds = label_instances(instances)
